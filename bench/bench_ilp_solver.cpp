@@ -5,11 +5,9 @@
 // full arrays up to 6x6, and verifies the ILP engine's optima against the
 // constructive engine's counts.
 //
-// Before/after in one run: the *Legacy / *Dense variants pin the pre-PR-2
-// configuration (dense-tableau cold start per node, most-fractional
-// branching, no presolve/propagation/warm start, Dantzig pricing, no
-// probing/cliques/orbit rows), so the node-count and wall-time effect of
-// the accelerated pipeline is visible directly in the report. Counters:
+// The *Dense variant times the dense-tableau LP oracle beside the revised
+// simplex; the *NoLearn / *LpLearn variants pin the search with conflict
+// learning off and with LP-refutation learning plus restarts. Counters:
 // nodes = branch-and-bound nodes, pivots = simplex pivots summed over all
 // node LPs, cuts = root clique/cover cutting planes kept, budget = minimum
 // path/cut count found, proven = 1 when the budget carries an optimality
@@ -24,13 +22,6 @@
 namespace {
 
 using namespace fpva;
-
-/// The pre-PR-2 search pipeline, kept for differential testing and as the
-/// baseline side of the before/after report. All PR-3 mechanisms (devex
-/// pricing, probing, clique cuts, orbit rows, input-order chain branching)
-/// are individually switchable; this configuration turns everything off,
-/// reproducing the original cold-start most-fractional search.
-ilp::Options legacy_options() { return ilp::legacy_solver_options(); }
 
 lp::Model transportation_model(int n) {
   lp::Model model;
@@ -117,11 +108,6 @@ void BM_BranchAndBoundKnapsack(benchmark::State& state) {
 }
 BENCHMARK(BM_BranchAndBoundKnapsack)->Arg(10)->Arg(16)->Arg(24);
 
-void BM_BranchAndBoundKnapsackLegacy(benchmark::State& state) {
-  run_knapsack(state, legacy_options());
-}
-BENCHMARK(BM_BranchAndBoundKnapsackLegacy)->Arg(10)->Arg(16)->Arg(24);
-
 void run_flow_path(benchmark::State& state, const ilp::Options& base,
                    bool crosscheck) {
   const int n = static_cast<int>(state.range(0));
@@ -206,11 +192,6 @@ BENCHMARK(BM_FlowPathIlp)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
-void BM_FlowPathIlpLegacy(benchmark::State& state) {
-  run_flow_path(state, legacy_options(), /*crosscheck=*/false);
-}
-BENCHMARK(BM_FlowPathIlpLegacy)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-
 // The PR-4 pipeline (everything on, conflict learning off): pins the
 // pre-learning node counts in the committed baseline, so the claim that
 // conflict_learning=off reproduces them bit-exactly stays CI-gated.
@@ -235,8 +216,8 @@ BENCHMARK(BM_FlowPathIlpLpLearn)
     ->Unit(benchmark::kMillisecond);
 
 // Full find_minimum_cut_sets pipeline to *proven* optimality: budget
-// escalation with infeasibility certificates, devex pricing, probing,
-// clique cuts, orbit symmetry rows and input-order chain branching.
+// escalation with infeasibility certificates, probing, clique cuts, orbit
+// symmetry rows and input-order chain branching.
 // 4x4 was minutes-to-optimality before PR 3; the acceptance gate is
 // 3x3 < 1 s and 4x4 < 10 s on CI hardware.
 void run_cut_set(benchmark::State& state, const ilp::Options& base) {
@@ -298,11 +279,6 @@ void BM_CutSetIlp(benchmark::State& state) {
   run_cut_set(state, ilp::Options{});
 }
 BENCHMARK(BM_CutSetIlp)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_CutSetIlpLegacy(benchmark::State& state) {
-  run_cut_set(state, legacy_options());
-}
-BENCHMARK(BM_CutSetIlpLegacy)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // See BM_FlowPathIlpNoLearn: the PR-4 cut-set counters, kept pinned.
 void BM_CutSetIlpNoLearn(benchmark::State& state) {

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -27,10 +26,6 @@ namespace fpva::ilp {
 namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
-/// Cut-and-branch caps: rows appended to the live basis over the whole
-/// tree, and per separation call, so node LPs stay small.
-constexpr long kMaxDepthCutRows = 200;
-constexpr long kMaxDepthCutsPerNode = 20;
 
 /// One bound change relative to the parent node.
 struct BoundDelta {
@@ -217,36 +212,27 @@ struct SharedSearch {
   }
 };
 
+/// Options of the warm node-LP engine shared by the whole tree.
+lp::SolveOptions node_lp_options(const Options& options) {
+  lp::SolveOptions lp_options;
+  lp_options.max_iterations = options.lp_iteration_limit;
+  // Exact duals cost an extra BTRAN + pricing pass per optimal solve; only
+  // bound-based LP learning consumes them.
+  lp_options.want_duals = options.lp_conflict_learning &&
+                          options.conflict_learning &&
+                          options.node_propagation;
+  return lp_options;
+}
+
 class Searcher {
  public:
   /// `shared_propagator` (optional) reuses a Propagator already built over
-  /// this exact model, e.g. by the root presolve. `separator` (optional)
-  /// enables cut-and-branch: globally-valid cuts separated at shallow tree
-  /// nodes are appended to the live basis of the shared warm solver.
+  /// this exact model, e.g. by the root presolve.
   Searcher(const Model& model, const Options& options,
-           const Propagator* shared_propagator, bool root_propagated,
-           CutSeparator* separator)
-      : model_(model), options_(options) {
-    if (options_.warm_start) {
-      lp::SolveOptions lp_options;
-      lp_options.max_iterations = options.lp_iteration_limit;
-      lp_options.algorithm = lp::Algorithm::kRevised;
-      lp_options.pricing = options.devex_pricing ? lp::Pricing::kDevex
-                                                 : lp::Pricing::kDantzig;
-      lp_options.factorization = options.lp_factorization;
-      // Exact duals cost an extra BTRAN + pricing pass per optimal solve;
-      // only bound-based LP learning consumes them. Leaving the flag off
-      // otherwise keeps the default node LPs byte-identical to PR-8.
-      lp_options.want_duals = options.lp_conflict_learning &&
-                              options.conflict_learning &&
-                              options.node_propagation;
-      solver_.emplace(model.lp(), lp_options);
-      if (separator != nullptr && options.cut_depth > 0 &&
-          options.warm_row_addition &&
-          options.lp_factorization == lp::Factorization::kForrestTomlin) {
-        separator_ = separator;
-      }
-    }
+           const Propagator* shared_propagator, bool root_propagated)
+      : model_(model),
+        options_(options),
+        solver_(model.lp(), node_lp_options(options)) {
     root_propagated_ = root_propagated;
     if (shared_propagator != nullptr) {
       propagator_ = shared_propagator;
@@ -546,14 +532,6 @@ class Searcher {
         bound_lost = true;
         continue;
       }
-      // Cut-and-branch: at shallow depths, separate globally-valid cuts
-      // from this node's fractional point and append them to the live
-      // basis — they tighten every LP solved for the rest of the search.
-      if (separator_ != nullptr && relaxation.status == lp::SolveStatus::kOptimal &&
-          node.depth <= options_.cut_depth &&
-          depth_cut_rows_ < kMaxDepthCutRows) {
-        relaxation = apply_depth_cuts(node, std::move(relaxation), result);
-      }
       if (relaxation.status == lp::SolveStatus::kInfeasible) {
         // An infeasible node LP used to prune silently; with LP learning
         // on, its Farkas ray is aggregated into a bound clause over the
@@ -732,15 +710,10 @@ class Searcher {
     }
 
     result.seconds = timer.seconds();
-    if (solver_.has_value()) {
-      result.lp_refactorizations = solver_->refactorizations();
-      result.lp_basis_updates = solver_->basis_updates();
-      result.warm_cut_rows = solver_->warm_rows_added();
-      result.lp_eta_fallbacks = solver_->eta_fallbacks();
-    }
+    result.lp_refactorizations = solver_.refactorizations();
+    result.lp_basis_updates = solver_.basis_updates();
     result.lp_dense_fallbacks = dense_fallbacks_;
     result.basis_restores = basis_restores_;
-    result.cuts_at_depth = static_cast<int>(depth_cut_rows_);
     if (conflict_.has_value()) {
       result.conflicts = conflict_->stats().conflicts;
       result.lp_conflicts = conflict_->stats().lp_conflicts;
@@ -859,8 +832,7 @@ class Searcher {
 
   /// Builds, verifies and analyzes the bound clause an LP refutation
   /// certifies. `solver_ray` carries weights over the rows of the LP the
-  /// node actually solved — the model rows first, any in-tree cut rows
-  /// after (lp::Solution::farkas_ray sign convention). With
+  /// node solved (lp::Solution::farkas_ray sign convention). With
   /// `with_objective`, the aggregation additionally includes the virtual
   /// objective row `c.x <= objective_cutoff` with weight 1 (bound-based
   /// pruning from the exact duals). The clause is handed to the conflict
@@ -875,7 +847,7 @@ class Searcher {
     constexpr double kMargin = 1e-6;     // required certificate violation
     const lp::Model& lpm = model_.lp();
     const int mc = lpm.constraint_count();
-    if (static_cast<int>(solver_ray.size()) < mc) return false;
+    if (static_cast<int>(solver_ray.size()) != mc) return false;
     double scale = 0.0;
     for (const double w : solver_ray) {
       if (!std::isfinite(w)) return false;
@@ -887,13 +859,6 @@ class Searcher {
     // dual certificate is pinned by the objective row's weight of 1.
     const double norm = with_objective ? 1.0 : scale;
     const double slack = kSignSlack * (scale / norm);
-    // In-tree cut rows (indices >= mc) are valid for the integer model
-    // but cannot be re-derived by the explanation checker from the model
-    // rows; a certificate leaning on one is not turned into a clause.
-    for (std::size_t i = static_cast<std::size_t>(mc); i < solver_ray.size();
-         ++i) {
-      if (std::abs(solver_ray[i]) / norm > slack) return false;
-    }
     std::vector<double> weights(static_cast<std::size_t>(mc), 0.0);
     for (int i = 0; i < mc; ++i) {
       double w = solver_ray[static_cast<std::size_t>(i)] / norm;
@@ -977,9 +942,7 @@ class Searcher {
     return k;
   }
 
-  bool use_basis_stack() const {
-    return options_.basis_stack_depth > 0 && solver_.has_value();
-  }
+  bool use_basis_stack() const { return options_.basis_stack_depth > 0; }
 
   /// Prunes checkpoints that are not ancestors of `node`, then decides
   /// whether continuing from the live basis or restoring the deepest
@@ -987,8 +950,7 @@ class Searcher {
   void prepare_basis(const Node& node) {
     while (!basis_stack_.empty()) {
       const SavedBasis& top = basis_stack_.back();
-      if (top.snapshot.rows == solver_->row_count() &&
-          top.path.size() <= node.path.size() &&
+      if (top.path.size() <= node.path.size() &&
           shared_prefix(top.path, node.path) == top.path.size()) {
         break;
       }
@@ -1002,11 +964,11 @@ class Searcher {
     // backtrack jump, and only when the checkpoint sits at least as deep
     // as the divergence point (otherwise the live basis is closer).
     constexpr std::size_t kRestoreJump = 4;
-    if (solver_->has_basis() &&
+    if (solver_.has_basis() &&
         (jump < kRestoreJump || top.path.size() < shared)) {
       return;
     }
-    if (solver_->restore_basis(top.snapshot)) ++basis_restores_;
+    if (solver_.restore_basis(top.snapshot)) ++basis_restores_;
   }
 
   /// Saves the current (optimal) basis as a checkpoint for `node` when it
@@ -1014,47 +976,12 @@ class Searcher {
   /// an ancestor of the node being processed, so pushing keeps nesting.
   void maybe_push_snapshot(const Node& node) {
     if (node.depth > options_.basis_stack_depth) return;
-    if (!solver_->has_basis()) return;
+    if (!solver_.has_basis()) return;
     if (!basis_stack_.empty() &&
         basis_stack_.back().path.size() >= node.path.size()) {
       return;  // budget retry of the same node: checkpoint already taken
     }
-    basis_stack_.push_back({node.path, solver_->snapshot_basis()});
-  }
-
-  /// Cut-and-branch separation rounds at a shallow node: append the
-  /// violated globally-valid cuts to the live basis and reoptimize. The
-  /// returned relaxation is the (tighter) final one; an infeasible
-  /// re-solve proves the node infeasible because every appended row is
-  /// valid for the full integer model.
-  lp::Solution apply_depth_cuts(const Node& node, lp::Solution relaxation,
-                                Result& result) {
-    std::vector<CandidateCut> cuts;
-    std::vector<lp::Term> terms;
-    // Two bounded separation rounds; the pivot count is aggregated for
-    // stats, not searched over. The node loop around this polls the token.
-    // fpva-lint: allow(missing-stop-poll)
-    for (int round = 0; round < 2; ++round) {
-      if (relaxation.status != lp::SolveStatus::kOptimal) break;
-      if (depth_cut_rows_ >= kMaxDepthCutRows) break;
-      const int budget = static_cast<int>(
-          std::min<long>(kMaxDepthCutsPerNode,
-                         kMaxDepthCutRows - depth_cut_rows_));
-      separator_->separate(relaxation.values, budget, &cuts);
-      if (cuts.empty()) break;
-      basis_stack_.clear();  // checkpoints pin the previous row count
-      for (const CandidateCut& cut : cuts) {
-        const double rhs = literal_row(cut.literals, cut.rhs_literals,
-                                       &terms);
-        solver_->add_row(terms, lp::Sense::kLessEqual, rhs);
-      }
-      depth_cut_rows_ += static_cast<long>(cuts.size());
-      lp::Solution tightened = solve_node_lp(node.lp_budget);
-      result.lp_pivots += tightened.iterations;
-      if (tightened.status == lp::SolveStatus::kIterationLimit) break;
-      relaxation = std::move(tightened);
-    }
-    return relaxation;
+    basis_stack_.push_back({node.path, solver_.snapshot_basis()});
   }
 
   /// Rebuilds cur_lower_/cur_upper_ for `node`: root bounds with the node's
@@ -1069,27 +996,26 @@ class Searcher {
     }
   }
 
-  /// Solves the node LP over cur_lower_/cur_upper_. Warm path: push only
-  /// the changed bounds into the shared incremental solver and dual-simplex
-  /// reoptimize; cold path: rebuild through lp::solve each time.
+  /// Solves the node LP over cur_lower_/cur_upper_: pushes only the
+  /// changed bounds into the shared warm solver and dual-simplex
+  /// reoptimizes. On numerical trouble the node is re-solved through the
+  /// dense tableau, the last rung of the recovery ladder.
   lp::Solution solve_node_lp(long budget) {
     const int n = model_.variable_count();
-    if (options_.warm_start) {
-      for (int j = 0; j < n; ++j) {
-        const auto js = static_cast<std::size_t>(j);
-        if (solver_->lower_bound(j) != cur_lower_[js] ||
-            solver_->upper_bound(j) != cur_upper_[js]) {
-          solver_->set_bounds(j, cur_lower_[js], cur_upper_[js]);
-        }
+    for (int j = 0; j < n; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      if (solver_.lower_bound(j) != cur_lower_[js] ||
+          solver_.upper_bound(j) != cur_upper_[js]) {
+        solver_.set_bounds(j, cur_lower_[js], cur_upper_[js]);
       }
-      solver_->set_iteration_limit(budget);
-      lp::Solution solution = solver_->reoptimize();
-      if (!solver_->numerical_trouble()) return solution;
-      ++dense_fallbacks_;
-      common::log_warning(
-          "branch-and-bound: warm solver hit numerical trouble; node "
-          "re-solved through the dense oracle");
     }
+    solver_.set_iteration_limit(budget);
+    lp::Solution solution = solver_.reoptimize();
+    if (!solver_.numerical_trouble()) return solution;
+    ++dense_fallbacks_;
+    common::log_warning(
+        "branch-and-bound: warm solver hit numerical trouble; node "
+        "re-solved through the dense oracle");
     if (!lp_copy_.has_value()) lp_copy_.emplace(model_.lp());
     for (int j = 0; j < n; ++j) {
       lp_copy_->set_bounds(j, cur_lower_[static_cast<std::size_t>(j)],
@@ -1097,13 +1023,7 @@ class Searcher {
     }
     lp::SolveOptions lp_options;
     lp_options.max_iterations = budget;
-    lp_options.algorithm = options_.warm_start ? lp::Algorithm::kDenseTableau
-                                               : options_.lp_algorithm;
-    lp_options.pricing = options_.devex_pricing ? lp::Pricing::kDevex
-                                                : lp::Pricing::kDantzig;
-    lp_options.factorization = options_.lp_factorization;
-    lp_options.want_duals =
-        options_.lp_conflict_learning && conflict_.has_value();
+    lp_options.algorithm = lp::Algorithm::kDenseTableau;
     return lp::solve(*lp_copy_, lp_options);
   }
 
@@ -1137,7 +1057,7 @@ class Searcher {
 
   /// Records the dual-bound degradation of the branch that created `node`.
   void update_pseudocost(const Node& node, double bound) {
-    if (!options_.pseudocost_branching || node.branch_var < 0) return;
+    if (node.branch_var < 0) return;
     ensure_pseudocost_storage();
     if (!std::isfinite(node.parent_bound) || !std::isfinite(bound)) return;
     const double gain = std::max(bound - node.parent_bound, 0.0);
@@ -1165,11 +1085,10 @@ class Searcher {
     return std::abs(model_.lp().variable(var).objective) + 1.0;
   }
 
-  /// The active branching rule (kAuto resolves per pseudocost_branching).
+  /// The active branching rule (kAuto resolves to kPseudocost).
   Branching branching() const {
     if (options_.branching != Branching::kAuto) return options_.branching;
-    return options_.pseudocost_branching ? Branching::kPseudocost
-                                         : Branching::kMostFractional;
+    return Branching::kPseudocost;
   }
 
   /// Most promising fractional integer variable, or -1 when none is
@@ -1200,13 +1119,12 @@ class Searcher {
         const double up_gain = pseudocost(j, true) * (1.0 - frac);
         score = std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
         weighted = model_.lp().variable(j).objective != 0.0;
-      } else if (rule == Branching::kActivity) {
-        // Highest conflict activity; the strict comparison below keeps
-        // the lowest index on ties, so an all-zero activity profile (no
-        // conflict yet, or learning off) degrades to input order.
-        score = conflict_.has_value() ? conflict_->variable_activity(j) : 0.0;
       } else {
-        score = distance;  // most-fractional
+        // kActivity: highest conflict activity; the strict comparison
+        // below keeps the lowest index on ties, so an all-zero activity
+        // profile (no conflict yet, or learning off) degrades to input
+        // order.
+        score = conflict_.has_value() ? conflict_->variable_activity(j) : 0.0;
       }
       if (best < 0 || (weighted && !best_weighted) ||
           (weighted == best_weighted && score > best_score)) {
@@ -1220,12 +1138,11 @@ class Searcher {
 
   const Model& model_;
   const Options& options_;
-  /// Bounds scratch for cold/oracle solves; built on first use so the
-  /// warm-start path never pays for the model copy.
+  /// Shared warm-start engine for every node LP of this search.
+  lp::RevisedSimplex solver_;
+  /// Bounds scratch for dense-oracle re-solves; built on first use so the
+  /// warm path never pays for the model copy.
   std::optional<lp::Model> lp_copy_;
-  /// Shared warm-start engine; absent when warm_start is off so the
-  /// legacy/oracle configuration pays nothing for it.
-  std::optional<lp::RevisedSimplex> solver_;
   std::optional<Propagator> own_propagator_;
   const Propagator* propagator_ = nullptr;
   std::vector<double> rounded_;  ///< rounding-heuristic scratch
@@ -1243,11 +1160,9 @@ class Searcher {
   long restart_count_ = 0;      ///< restarts taken (Luby index)
   std::vector<double> lp_ray_scratch_;  ///< negated duals, bound-based learning
   std::vector<double> agg_;             ///< aggregated-certificate scratch
-  CutSeparator* separator_ = nullptr;  ///< non-null => cut-and-branch on
   std::vector<SavedBasis> basis_stack_;
   std::vector<BoundDelta> last_solved_path_;
   long basis_restores_ = 0;
-  long depth_cut_rows_ = 0;
   long dense_fallbacks_ = 0;  ///< warm nodes re-solved via the dense oracle
   std::vector<char> integer_;  ///< cached integrality mask
   std::vector<double> root_lower_, root_upper_;
@@ -1282,8 +1197,7 @@ Result solve_parallel_tree(const Model& model, const Options& options,
         Options worker_options = options;
         worker_options.conflict_observer = &publish;
         try {
-          Searcher searcher(model, worker_options, nullptr, root_propagated,
-                            nullptr);
+          Searcher searcher(model, worker_options, nullptr, root_propagated);
           partials[job] =
               searcher.run_worker(shared, static_cast<int>(job), &publish);
         } catch (...) {
@@ -1302,7 +1216,6 @@ Result solve_parallel_tree(const Model& model, const Options& options,
     result.nodes_pruned_by_propagation += partial.nodes_pruned_by_propagation;
     result.lp_refactorizations += partial.lp_refactorizations;
     result.lp_basis_updates += partial.lp_basis_updates;
-    result.warm_cut_rows += partial.warm_cut_rows;
     result.basis_restores += partial.basis_restores;
     result.conflicts += partial.conflicts;
     result.lp_conflicts += partial.lp_conflicts;
@@ -1315,7 +1228,6 @@ Result solve_parallel_tree(const Model& model, const Options& options,
     result.backjumps += partial.backjumps;
     result.backjump_nodes_skipped += partial.backjump_nodes_skipped;
     result.subtrees_donated += partial.subtrees_donated;
-    result.lp_eta_fallbacks += partial.lp_eta_fallbacks;
     result.lp_dense_fallbacks += partial.lp_dense_fallbacks;
   }
 
@@ -1342,18 +1254,14 @@ Result solve_parallel_tree(const Model& model, const Options& options,
 }
 
 Result solve_without_presolve(const Model& model, const Options& options,
-                              const Propagator* shared_propagator = nullptr,
-                              bool root_propagated = false,
-                              CutSeparator* separator = nullptr) {
+                              const Propagator* shared_propagator,
+                              bool root_propagated) {
   const int workers = common::resolve_thread_count(options.threads);
   if (workers > 1 && model.variable_count() > 0) {
-    // The parallel search builds per-worker propagators and skips
-    // cut-and-branch (the separator appends rows to one shared basis,
-    // which only the serial search owns).
+    // The parallel search builds per-worker propagators.
     return solve_parallel_tree(model, options, workers, root_propagated);
   }
-  Searcher searcher(model, options, shared_propagator, root_propagated,
-                    separator);
+  Searcher searcher(model, options, shared_propagator, root_propagated);
   return searcher.run();
 }
 
@@ -1371,19 +1279,14 @@ struct RootStage {
   long lp_refactorizations = 0;
   long lp_basis_updates = 0;
   long warm_cut_rows = 0;
-  /// Kept alive for cut-and-branch at depth (shares the added-cut
-  /// signatures with the root loop). Null when separation has nothing to
-  /// work with.
-  std::unique_ptr<CutSeparator> separator;
 };
 
 /// Probing, clique-table construction, and the root cutting loop over
-/// `base`. With warm_row_addition (and the Forrest-Tomlin factorization)
-/// the cut LP keeps one factorized basis across rounds: each kept cut is
-/// appended to the live basis — its slack enters the basis — and the next
-/// round's reoptimize() repairs primal feasibility with a few dual pivots
-/// instead of re-crashing from scratch. The eta-oracle configuration keeps
-/// the original cold re-solve per round.
+/// `base`. The cut LP keeps one factorized basis across rounds: each kept
+/// cut is appended to the live basis — its slack enters the basis — and
+/// the next round's reoptimize() repairs primal feasibility with a few
+/// dual pivots instead of re-crashing from scratch. After numerical
+/// trouble the remaining rounds cold-solve through lp::solve.
 RootStage run_root_stage(const Model& base, const Options& options,
                          const common::Timer& timer) {
   RootStage stage;
@@ -1416,24 +1319,14 @@ RootStage run_root_stage(const Model& base, const Options& options,
   }
   if (!options.clique_cuts) return stage;
 
-  stage.separator = std::make_unique<CutSeparator>(stage.model, lower, upper,
-                                                   implications);
-  stage.cliques = stage.separator->clique_count();
-  if (stage.separator->empty()) {
-    stage.separator.reset();
-    return stage;
-  }
+  CutSeparator separator(stage.model, lower, upper, implications);
+  stage.cliques = separator.clique_count();
+  if (separator.empty()) return stage;
 
   lp::SolveOptions lp_options;
   lp_options.max_iterations = options.lp_iteration_limit;
-  lp_options.pricing = options.devex_pricing ? lp::Pricing::kDevex
-                                             : lp::Pricing::kDantzig;
-  lp_options.factorization = options.lp_factorization;
-  const bool warm =
-      options.warm_row_addition &&
-      options.lp_factorization == lp::Factorization::kForrestTomlin;
-  std::optional<lp::RevisedSimplex> warm_solver;
-  if (warm) warm_solver.emplace(stage.model.lp(), lp_options);
+  std::optional<lp::RevisedSimplex> warm_solver(std::in_place,
+                                                stage.model.lp(), lp_options);
 
   std::vector<CandidateCut> cuts;
   std::vector<lp::Term> terms;
@@ -1457,8 +1350,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
     }
     if (relaxation.status != lp::SolveStatus::kOptimal) break;
 
-    stage.separator->separate(relaxation.values, options.max_cuts_per_round,
-                              &cuts);
+    separator.separate(relaxation.values, options.max_cuts_per_round, &cuts);
     if (cuts.empty()) break;
     for (const CandidateCut& cut : cuts) {
       const double rhs = literal_row(cut.literals, cut.rhs_literals, &terms);
@@ -1482,30 +1374,6 @@ RootStage run_root_stage(const Model& base, const Options& options,
 }
 
 }  // namespace
-
-Options legacy_solver_options() {
-  Options options;
-  options.presolve = false;
-  options.node_propagation = false;
-  options.warm_start = false;
-  options.pseudocost_branching = false;
-  options.branching = Branching::kMostFractional;
-  options.lp_algorithm = lp::Algorithm::kDenseTableau;
-  options.lp_factorization = lp::Factorization::kEta;
-  options.devex_pricing = false;
-  options.probing = false;
-  options.clique_cuts = false;
-  options.orbit_symmetry_rows = false;
-  options.budget_floor_rows = false;
-  options.warm_row_addition = false;
-  options.basis_stack_depth = 0;
-  options.cut_depth = 0;
-  options.conflict_learning = false;
-  options.conflict_backjumping = false;
-  options.lp_conflict_learning = false;
-  options.restart_interval = 0;
-  return options;
-}
 
 Result solve(const Model& model, const Options& options) {
   common::Timer timer;
@@ -1573,10 +1441,8 @@ Result solve(const Model& model, const Options& options) {
   }
   const Propagator* shared =
       root_propagated && working == &model ? &*root_propagator : nullptr;
-  CutSeparator* separator =
-      stage.has_value() ? stage->separator.get() : nullptr;
-  Result searched = solve_without_presolve(*working, inner, shared,
-                                           root_propagated, separator);
+  Result searched =
+      solve_without_presolve(*working, inner, shared, root_propagated);
 
   Result result;
   result.status = searched.status;
@@ -1585,9 +1451,7 @@ Result solve(const Model& model, const Options& options) {
   result.nodes_pruned_by_propagation = searched.nodes_pruned_by_propagation;
   result.lp_refactorizations = searched.lp_refactorizations;
   result.lp_basis_updates = searched.lp_basis_updates;
-  result.warm_cut_rows = searched.warm_cut_rows;
   result.basis_restores = searched.basis_restores;
-  result.cuts_at_depth = searched.cuts_at_depth;
   result.conflicts = searched.conflicts;
   result.lp_conflicts = searched.lp_conflicts;
   result.lp_nogoods_learned = searched.lp_nogoods_learned;
@@ -1600,7 +1464,6 @@ Result solve(const Model& model, const Options& options) {
   result.threads_used = searched.threads_used;
   result.nogoods_imported = searched.nogoods_imported;
   result.subtrees_donated = searched.subtrees_donated;
-  result.lp_eta_fallbacks = searched.lp_eta_fallbacks;
   result.lp_dense_fallbacks = searched.lp_dense_fallbacks;
   // Unit nogoods live in the presolved variable space on purpose: a
   // resumed solve of the same model presolves identically, so the indices
@@ -1614,7 +1477,7 @@ Result solve(const Model& model, const Options& options) {
     result.cut_rounds = stage->cut_rounds;
     result.lp_refactorizations += stage->lp_refactorizations;
     result.lp_basis_updates += stage->lp_basis_updates;
-    result.warm_cut_rows += stage->warm_cut_rows;
+    result.warm_cut_rows = stage->warm_cut_rows;
   }
   if (identity) {
     result.objective = searched.objective;

@@ -15,8 +15,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kPivotEpsilon = 1e-9;
 constexpr double kWeakPivot = 1e-7;   ///< below this, prefer a fresh factor
-constexpr double kDropEpsilon = 1e-12;
-constexpr int kRefactorInterval = 64;
 /// A devex weight past this threshold restarts the reference framework.
 constexpr double kDevexReset = 1e8;
 
@@ -136,14 +134,6 @@ void RevisedSimplex::build_columns(const Model& model) {
       row_coeff_[static_cast<std::size_t>(slot)] = term.coefficient;
     }
   }
-}
-
-int RevisedSimplex::column_nnz(int var) const {
-  if (var < n_) {
-    return col_start_[static_cast<std::size_t>(var) + 1] -
-           col_start_[static_cast<std::size_t>(var)];
-  }
-  return 1;  // slack and artificial columns are unit
 }
 
 void RevisedSimplex::load_column(int var, std::vector<double>& dense,
@@ -315,7 +305,7 @@ void RevisedSimplex::add_row(const std::vector<Term>& terms, Sense sense,
   basis_.push_back(new_slack);
   values_dirty_ = true;
 
-  if (basis_valid_ && lu() && lu_.valid()) {
+  if (basis_valid_ && lu_.valid()) {
     // Extend the live factorization: gather the new row's coefficients on
     // the basic columns by basis position and append the unit pivot.
     std::vector<int> var_position(static_cast<std::size_t>(n_), -1);
@@ -338,7 +328,7 @@ void RevisedSimplex::add_row(const std::vector<Term>& terms, Sense sense,
       basis_valid_ = false;
     }
   } else {
-    // Eta oracle (or no live factorization): the next solve cold-starts.
+    // No live factorization: the next solve cold-starts.
     basis_valid_ = false;
   }
 }
@@ -399,85 +389,29 @@ bool RevisedSimplex::restore_basis(const BasisSnapshot& snapshot) {
 
 // ---------------------------------------------------------------- factorize
 
-void RevisedSimplex::append_eta(int pivot_row,
-                                const std::vector<double>& alpha,
-                                const std::vector<int>& alpha_pattern) {
-  const double pivot_value = alpha[static_cast<std::size_t>(pivot_row)];
-  Eta eta;
-  eta.pivot_row = pivot_row;
-  eta.pivot_value = 1.0 / pivot_value;
-  eta.start = static_cast<int>(eta_index_.size());
-  for (const int i : alpha_pattern) {
-    if (i == pivot_row) continue;
-    const double a = alpha[static_cast<std::size_t>(i)];
-    if (std::abs(a) <= kDropEpsilon) continue;
-    eta_index_.push_back(i);
-    eta_value_.push_back(-a / pivot_value);
-  }
-  eta.end = static_cast<int>(eta_index_.size());
-  etas_.push_back(eta);
-}
-
 void RevisedSimplex::ftran(std::vector<double>& dense) const {
-  if (lu() && lu_.valid()) {
-    lu_.ftran(dense);
-    return;
-  }
-  for (const Eta& eta : etas_) {
-    const double t = dense[static_cast<std::size_t>(eta.pivot_row)];
-    if (t == 0.0) continue;
-    dense[static_cast<std::size_t>(eta.pivot_row)] = eta.pivot_value * t;
-    for (int k = eta.start; k < eta.end; ++k) {
-      dense[static_cast<std::size_t>(
-          eta_index_[static_cast<std::size_t>(k)])] +=
-          eta_value_[static_cast<std::size_t>(k)] * t;
-    }
-  }
+  if (lu_.valid()) lu_.ftran(dense);
 }
 
 void RevisedSimplex::ftran_entering(std::vector<double>& dense) const {
-  if (lu() && lu_.valid()) {
-    lu_.ftran(dense, /*save_spike=*/true);
-    return;
-  }
-  ftran(dense);
+  if (lu_.valid()) lu_.ftran(dense, /*save_spike=*/true);
 }
 
 void RevisedSimplex::btran(std::vector<double>& dense) const {
-  if (lu() && lu_.valid()) {
-    lu_.btran(dense);
-    return;
-  }
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    const Eta& eta = *it;
-    double s = eta.pivot_value * dense[static_cast<std::size_t>(eta.pivot_row)];
-    for (int k = eta.start; k < eta.end; ++k) {
-      s += eta_value_[static_cast<std::size_t>(k)] *
-           dense[static_cast<std::size_t>(
-               eta_index_[static_cast<std::size_t>(k)])];
-    }
-    dense[static_cast<std::size_t>(eta.pivot_row)] = s;
-  }
-}
-
-bool RevisedSimplex::refactorize() {
-  ++refactorizations_;
-  if (lu()) {
-    // Fail-point: a forced LU-instability event reports the refactorization
-    // as singular, exercising the numeric-recovery ladder end to end.
-    if (common::failpoint::evaluate("lp.lu_refactor") ==
-        common::failpoint::Action::kError) {
-      return false;
-    }
-    return refactorize_lu();
-  }
-  return refactorize_eta();
+  if (lu_.valid()) lu_.btran(dense);
 }
 
 /// Gathers the basis columns into a CSC scratch and hands them to the
 /// Markowitz/Forrest-Tomlin engine. Does not permute basis_ (the LU keeps
 /// its pivot ordering internal).
-bool RevisedSimplex::refactorize_lu() {
+bool RevisedSimplex::refactorize() {
+  ++refactorizations_;
+  // Fail-point: a forced LU-instability event reports the refactorization
+  // as singular, exercising the numeric-recovery ladder end to end.
+  if (common::failpoint::evaluate("lp.lu_refactor") ==
+      common::failpoint::Action::kError) {
+    return false;
+  }
   lu_col_rows_.clear();
   lu_col_vals_.clear();
   lu_col_start_.clear();
@@ -507,32 +441,16 @@ bool RevisedSimplex::refactorize_lu() {
     columns[is] = {lu_col_rows_.data() + start, lu_col_vals_.data() + start,
                    lu_col_start_[is + 1] - start};
   }
-  etas_.clear();
-  eta_index_.clear();
-  eta_value_.clear();
-  factor_etas_ = 0;
   values_dirty_ = true;
   return lu_.factorize(m_, columns);
 }
 
 bool RevisedSimplex::factor_is_stale() const {
-  if (lu()) return !lu_.valid() || lu_.updates_since_factor() > 0;
-  return static_cast<int>(etas_.size()) > factor_etas_;
+  return !lu_.valid() || lu_.updates_since_factor() > 0;
 }
 
-bool RevisedSimplex::factor_needs_refresh() const {
-  if (lu()) return lu_.needs_refactor();
-  return static_cast<int>(etas_.size()) - factor_etas_ >= kRefactorInterval;
-}
-
-bool RevisedSimplex::factor_update(int pivot_row, double pivot_value,
-                                   const std::vector<double>& alpha,
-                                   const std::vector<int>& alpha_pattern) {
+bool RevisedSimplex::factor_update(int pivot_row, double pivot_value) {
   factor_rebuilt_ = false;
-  if (!lu()) {
-    append_eta(pivot_row, alpha, alpha_pattern);
-    return true;
-  }
   if (lu_.valid() && lu_.update(pivot_row, pivot_value)) {
     ++basis_updates_;
     if (!lu_.needs_refactor()) return true;
@@ -541,60 +459,6 @@ bool RevisedSimplex::factor_update(int pivot_row, double pivot_value,
   // reflects the pivot, so a fresh factorization replaces the update.
   factor_rebuilt_ = true;
   return refactorize();
-}
-
-bool RevisedSimplex::refactorize_eta() {
-  etas_.clear();
-  eta_index_.clear();
-  eta_value_.clear();
-  // Process basis columns sparsest-first: unit slack/artificial columns
-  // pivot their row with zero fill, leaving only the structural "bump".
-  std::vector<int> order(static_cast<std::size_t>(m_));
-  for (int i = 0; i < m_; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return column_nnz(basis_[static_cast<std::size_t>(a)]) <
-           column_nnz(basis_[static_cast<std::size_t>(b)]);
-  });
-
-  std::vector<char> row_taken(static_cast<std::size_t>(m_), 0);
-  std::vector<int> new_basis(static_cast<std::size_t>(m_), -1);
-  std::vector<double>& dense = work_;
-  std::vector<int>& pattern = pattern_;
-  for (const int position : order) {
-    const int var = basis_[static_cast<std::size_t>(position)];
-    load_column(var, dense, pattern);
-    ftran(dense);
-    // The FTRAN may have created fill outside the loaded pattern; rescan.
-    int pivot_row = -1;
-    double best = 0.0;
-    for (int i = 0; i < m_; ++i) {
-      if (row_taken[static_cast<std::size_t>(i)]) continue;
-      const double a = std::abs(dense[static_cast<std::size_t>(i)]);
-      if (a > best) {
-        best = a;
-        pivot_row = i;
-      }
-    }
-    if (pivot_row < 0 || best <= 1e-11) {
-      // Clear the dense scratch before bailing out.
-      std::fill(dense.begin(), dense.end(), 0.0);
-      pattern.clear();
-      return false;  // singular basis
-    }
-    pattern.clear();
-    for (int i = 0; i < m_; ++i) {
-      if (dense[static_cast<std::size_t>(i)] != 0.0) pattern.push_back(i);
-    }
-    append_eta(pivot_row, dense, pattern);
-    row_taken[static_cast<std::size_t>(pivot_row)] = 1;
-    new_basis[static_cast<std::size_t>(pivot_row)] = var;
-    for (const int i : pattern) dense[static_cast<std::size_t>(i)] = 0.0;
-    pattern.clear();
-  }
-  basis_ = std::move(new_basis);
-  factor_etas_ = static_cast<int>(etas_.size());
-  values_dirty_ = true;
-  return true;
 }
 
 void RevisedSimplex::compute_basic_values() {
@@ -779,10 +643,6 @@ void RevisedSimplex::fill_primal_point(Solution& result) const {
 // ------------------------------------------------------------------- primal
 
 void RevisedSimplex::reset_to_slack_basis() {
-  etas_.clear();
-  eta_index_.clear();
-  eta_value_.clear();
-  factor_etas_ = 0;
   basis_valid_ = false;
 
   for (int j = 0; j < n_; ++j) {
@@ -851,7 +711,6 @@ bool RevisedSimplex::price(const std::vector<double>& y, bool bland,
   int best = -1;
   double best_violation = options_.tolerance;
   double best_score = 0.0;
-  const bool use_devex = devex() && !bland;
   const auto consider = [&](int j, double d) {
     const auto js = static_cast<std::size_t>(j);
     double v = 0.0;
@@ -867,10 +726,10 @@ bool RevisedSimplex::price(const std::vector<double>& y, bool bland,
       best_violation = v;
       return true;  // Bland: first violating index wins
     }
-    // Dantzig scores by the raw violation; devex divides by the reference
-    // weight (a running lower bound on ||B^-1 a_j||^2), approximating
-    // steepest edge without its exact-norm recurrences.
-    const double score = use_devex ? v * v / devex_weight_[js] : v;
+    // Devex divides the squared violation by the reference weight (a
+    // running lower bound on ||B^-1 a_j||^2), approximating steepest edge
+    // without its exact-norm recurrences.
+    const double score = v * v / devex_weight_[js];
     if (best < 0 ? v > best_violation : score > best_score) {
       best_score = score;
       best_violation = v;
@@ -917,7 +776,7 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
   std::vector<double>& y = duals_;
   std::vector<double>& alpha = work_;
   std::vector<int>& pattern = pattern_;
-  if (devex()) reset_primal_devex();  // fresh reference framework per phase
+  reset_primal_devex();  // fresh reference framework per phase
   // Pivot loop is bounded by the caller's per-solve iteration budget;
   // cancellation is polled at node granularity by the branch-and-bound
   // driver so truncated LPs replay bit-exactly on resume.
@@ -1044,8 +903,8 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
     x_[q] += direction * t;
 
     // Devex update prices against the pre-pivot basis inverse: it must run
-    // before the eta is appended and before basis_/state_ change.
-    if (devex()) update_primal_devex(entering, leaving_row, pivot_value);
+    // before the factorization update and before basis_/state_ change.
+    update_primal_devex(entering, leaving_row, pivot_value);
 
     const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
     const auto ls = static_cast<std::size_t>(leaving);
@@ -1059,8 +918,7 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
     }
     state_[q] = VarState::kBasic;
     basis_[static_cast<std::size_t>(leaving_row)] = entering;
-    const bool factor_ok = factor_update(leaving_row, pivot_value, alpha,
-                                         pattern);
+    const bool factor_ok = factor_update(leaving_row, pivot_value);
     for (const int i : pattern) alpha[static_cast<std::size_t>(i)] = 0.0;
     pattern.clear();
     if (!factor_ok) {
@@ -1077,7 +935,7 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
     } else {
       consecutive_degenerate = 0;
     }
-    if (!factor_rebuilt_ && factor_needs_refresh()) {
+    if (!factor_rebuilt_ && lu_.needs_refactor()) {
       if (!refactorize()) {
         numerics_failed_ = true;
         result.status = SolveStatus::kIterationLimit;
@@ -1098,7 +956,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
   std::vector<int>& pattern = pattern_;
   std::vector<double>& rho = rho_;
   rho.assign(static_cast<std::size_t>(m_), 0.0);
-  if (devex()) reset_dual_devex();  // fresh row framework per dual run
+  reset_dual_devex();  // fresh row framework per dual run
   refresh_reduced_costs();
   // Bounded by the per-solve pivot budget; cancellation happens at node
   // granularity in the driver (see primal_iterate for the rationale).
@@ -1112,7 +970,6 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
     if (values_dirty_) compute_basic_values();
 
     const bool bland = consecutive_degenerate > bland_threshold;
-    const bool use_devex = devex() && !bland;
     if (consecutive_degenerate > 8 * bland_threshold + 1000) {
       // Degenerate stalling despite Bland's rule: give up on the warm basis
       // and let the caller cold start.
@@ -1120,9 +977,9 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
       return false;
     }
 
-    // Leaving row: the basic variable most outside its bounds — raw
-    // violation under Dantzig, violation^2 / row weight under devex (under
-    // Bland's anti-cycling rule: the lowest-index violated basic).
+    // Leaving row: the basic variable with the largest violation^2 / devex
+    // row weight (under Bland's anti-cycling rule: the lowest-index
+    // violated basic).
     int leaving_row = -1;
     double worst = options_.tolerance;
     double worst_score = 0.0;
@@ -1139,11 +996,8 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
         take = leaving_row < 0 ||
                basic < basis_[static_cast<std::size_t>(leaving_row)];
       } else {
-        const double score =
-            use_devex
-                ? violation * violation /
-                      dual_weight_[static_cast<std::size_t>(i)]
-                : violation;
+        const double score = violation * violation /
+                             dual_weight_[static_cast<std::size_t>(i)];
         take = leaving_row < 0 ? violation > worst : score > worst_score;
         if (take) worst_score = score;
       }
@@ -1325,8 +1179,8 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
     }
 
     // The dual devex update needs the FTRAN'd entering column against the
-    // pre-pivot basis: run it before the eta is appended.
-    if (devex()) update_dual_devex(leaving_row, pivot_value, alpha, pattern);
+    // pre-pivot basis: run it before the factorization update.
+    update_dual_devex(leaving_row, pivot_value, alpha, pattern);
 
     const auto q = static_cast<std::size_t>(entering);
     const double delta_q = (x_[ls] - target) / pivot_value;
@@ -1352,8 +1206,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
     state_[ls] = below ? VarState::kAtLower : VarState::kAtUpper;
     state_[q] = VarState::kBasic;
     basis_[static_cast<std::size_t>(leaving_row)] = entering;
-    const bool factor_ok = factor_update(leaving_row, pivot_value, alpha,
-                                         pattern);
+    const bool factor_ok = factor_update(leaving_row, pivot_value);
     for (const int i : pattern) alpha[static_cast<std::size_t>(i)] = 0.0;
     pattern.clear();
     if (!factor_ok) {
@@ -1373,7 +1226,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
       // rebase the incremental reduced costs on the new numerics.
       compute_basic_values();
       refresh_reduced_costs();
-    } else if (factor_needs_refresh()) {
+    } else if (lu_.needs_refactor()) {
       if (!refactorize()) {
         numerics_failed_ = true;
         return false;
@@ -1417,8 +1270,7 @@ bool RevisedSimplex::evict_basic_artificials() {
     state_[bs] = VarState::kAtLower;
     state_[static_cast<std::size_t>(replacement)] = VarState::kBasic;
     basis_[static_cast<std::size_t>(i)] = replacement;
-    const bool factor_ok = factor_update(
-        i, alpha[static_cast<std::size_t>(i)], alpha, pattern);
+    const bool factor_ok = factor_update(i, alpha[static_cast<std::size_t>(i)]);
     for (const int r : pattern) alpha[static_cast<std::size_t>(r)] = 0.0;
     pattern.clear();
     if (!factor_ok) return false;
@@ -1529,13 +1381,9 @@ Solution RevisedSimplex::run_two_phase() {
 
 /// Dual-feasible crash start: every structural variable parks at the bound
 /// its objective coefficient prefers, every slack becomes basic (identity
-/// basis, empty eta file). Reduced costs are then feasible by construction
+/// basis). Reduced costs are then feasible by construction
 /// and the dual simplex can cold-start without artificials or phase 1.
 void RevisedSimplex::reset_to_dual_crash() {
-  etas_.clear();
-  eta_index_.clear();
-  eta_value_.clear();
-  factor_etas_ = 0;
   basis_valid_ = false;
 
   for (int j = 0; j < n_; ++j) {
@@ -1564,9 +1412,9 @@ void RevisedSimplex::reset_to_dual_crash() {
     state_[art] = VarState::kAtLower;
     x_[art] = 0.0;
   }
-  // The crash basis is the identity; the eta file represents it as an
-  // empty product, the LU factors it explicitly (all singleton pivots).
-  if (lu() && !refactorize()) numerics_failed_ = true;
+  // The crash basis is the identity; the LU factors it explicitly (all
+  // singleton pivots).
+  if (!refactorize()) numerics_failed_ = true;
 
   // Basic slack values = row residuals (B is the identity). Out-of-bounds
   // values are exactly the primal infeasibilities the dual run repairs.
@@ -1657,17 +1505,8 @@ Solution RevisedSimplex::solve_cold() {
   // two-phase primal, the same method as the dense oracle.
   iterations_ = 0;
   numerics_failed_ = false;
-  result = run_two_phase();
-  if (!numerics_failed_ || !lu()) return result;
-  // Second rung of the recovery ladder: two-phase failed *under the LU*,
-  // which points at the Forrest-Tomlin factorization itself. Downgrade
-  // this instance to the product-form eta file (sticky for its lifetime)
-  // and retry once; callers keep the dense tableau as the last rung.
-  options_.factorization = Factorization::kEta;
-  ++eta_fallbacks_;
-  basis_valid_ = false;
-  iterations_ = 0;
-  numerics_failed_ = false;
+  // A numerically failed two-phase solve reports numerical_trouble(); the
+  // caller re-solves through the dense tableau, the last rung.
   return run_two_phase();
 }
 

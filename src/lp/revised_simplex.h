@@ -1,12 +1,18 @@
 // Revised bounded-variable simplex with a factorized basis and warm starts.
 //
 // Unlike the dense tableau solver (simplex.cpp), this engine keeps the basis
-// as a product-form eta file over a sparse column copy of the constraint
-// matrix, so one pivot costs O(nnz) instead of O(rows * columns). It is
-// built for branch-and-bound: after a handful of bound changes the previous
+// as a Markowitz-pivoted sparse LU with Forrest-Tomlin column updates
+// (lu_factorization.h) over a sparse column copy of the constraint matrix,
+// so one pivot costs O(nnz) instead of O(rows * columns). Entering and
+// leaving candidates are priced with devex reference weights. It is built
+// for branch-and-bound: after a handful of bound changes the previous
 // optimal basis stays dual feasible, and reoptimize() runs the dual simplex
 // from that basis instead of a two-phase cold start — typically a couple of
-// pivots per node instead of a full solve.
+// pivots per node instead of a full solve. Cut rows appended with add_row()
+// extend the live factorization in place.
+//
+// When the engine gives up on numerics (numerical_trouble()), callers
+// re-solve through the dense tableau: the recovery ladder is LU -> dense.
 //
 // The solver owns a private copy of the variable bounds; set_bounds()
 // mutates that copy only, never the source model, so one RevisedSimplex can
@@ -72,14 +78,10 @@ class RevisedSimplex {
 
   /// Appends a constraint row to the solver's private copy of the model
   /// (duplicate terms are merged; terms must reference structural
-  /// variables). Under the Forrest-Tomlin factorization a valid basis is
-  /// extended in place — the new slack enters the basis and the next
-  /// reoptimize() repairs primal feasibility with dual pivots. Under the
-  /// eta factorization the stored basis is dropped and the next solve
-  /// cold-starts.
+  /// variables). A valid basis is extended in place — the new slack enters
+  /// the basis and the next reoptimize() repairs primal feasibility with
+  /// dual pivots. Without a live factorization the next solve cold-starts.
   void add_row(const std::vector<Term>& terms, Sense sense, double rhs);
-
-  int row_count() const { return m_; }
 
   /// Checkpoint of the current basis; valid only when has_basis().
   BasisSnapshot snapshot_basis() const;
@@ -93,55 +95,35 @@ class RevisedSimplex {
 
   /// Basis factorizations built over the lifetime of the solver.
   long refactorizations() const { return refactorizations_; }
-  /// Forrest-Tomlin column updates applied (0 under the eta file).
+  /// Forrest-Tomlin column updates applied.
   long basis_updates() const { return basis_updates_; }
   /// Rows appended while a factorized basis was live.
   long warm_rows_added() const { return warm_rows_added_; }
 
-  /// Times the recovery ladder demoted this instance from Forrest-Tomlin
-  /// to the eta file after a numerically failed two-phase solve (0 or 1:
-  /// the demotion is sticky for the instance's lifetime).
-  long eta_fallbacks() const { return eta_fallbacks_; }
-
  private:
   enum class VarState : std::uint8_t { kBasic, kAtLower, kAtUpper };
 
-  /// One product-form update. Off-pivot entries live in the shared
-  /// eta_index_/eta_value_ arena (one flat allocation instead of two small
-  /// vectors per pivot, and sequential memory during FTRAN/BTRAN sweeps).
-  struct Eta {
-    int pivot_row = 0;
-    int start = 0;             ///< first arena slot
-    int end = 0;               ///< one past the last arena slot
-    double pivot_value = 1.0;  ///< eta coefficient of the pivot row
-  };
-
   // --- structure -----------------------------------------------------------
   void build_columns(const Model& model);
-  int column_nnz(int var) const;
   double column_dot(int var, const std::vector<double>& dense) const;
 
   // --- factorization -------------------------------------------------------
-  bool lu() const { return options_.factorization == Factorization::kForrestTomlin; }
-  bool refactorize();  ///< rebuilds the factorization; false = singular
-  bool refactorize_eta();
-  bool refactorize_lu();
-  void ftran(std::vector<double>& dense) const;  ///< dense := B^-1 dense
-  /// FTRAN of the entering column: under LU the partial result is stashed
-  /// so factor_update() can fold it into U.
+  /// Gathers the basis columns and rebuilds the LU; false = singular.
+  bool refactorize();
+  /// dense := B^-1 dense. Without a valid factorization the basis is
+  /// treated as the identity (the slack crash basis before its first
+  /// factorization).
+  void ftran(std::vector<double>& dense) const;
+  /// FTRAN of the entering column; the partial result is stashed so
+  /// factor_update() can fold it into U.
   void ftran_entering(std::vector<double>& dense) const;
   void btran(std::vector<double>& dense) const;  ///< dense := B^-T dense
-  /// Records the pivot in the factorization (eta append or Forrest-Tomlin
-  /// update; refactorizes on an unstable update). Must run after basis_ /
-  /// state_ are updated. Returns false on fatal numerics; sets
+  /// Records the pivot as a Forrest-Tomlin update (refactorizes on an
+  /// unstable update or when the fill policy fires). Must run after
+  /// basis_ / state_ are updated. Returns false on fatal numerics; sets
   /// factor_rebuilt_ when it refactorized as a side effect.
-  bool factor_update(int pivot_row, double pivot_value,
-                     const std::vector<double>& alpha,
-                     const std::vector<int>& alpha_pattern);
+  bool factor_update(int pivot_row, double pivot_value);
   bool factor_is_stale() const;     ///< updates applied since the last factor
-  bool factor_needs_refresh() const;  ///< policy says refactorize now
-  void append_eta(int pivot_row, const std::vector<double>& alpha,
-                  const std::vector<int>& alpha_pattern);
   void load_column(int var, std::vector<double>& dense,
                    std::vector<int>& pattern) const;
   void rebuild_csc();  ///< regenerate the CSC mirror from the CSR rows
@@ -168,11 +150,11 @@ class RevisedSimplex {
   /// phase/perturbed `cost_` vector.
   void fill_primal_point(Solution& result) const;
   // --- devex ---------------------------------------------------------------
-  bool devex() const { return options_.pricing == Pricing::kDevex; }
   void reset_primal_devex();  ///< new reference framework (weights := 1)
   /// Updates the primal reference weights after pivoting `entering` into
-  /// `pivot_row` (the eta of the pivot must not be appended yet: the update
-  /// prices the leaving row against the pre-pivot basis inverse).
+  /// `pivot_row` (the pivot must not be folded into the factorization yet:
+  /// the update prices the leaving row against the pre-pivot basis
+  /// inverse).
   void update_primal_devex(int entering, int pivot_row, double pivot_value);
   void reset_dual_devex();  ///< new dual reference framework (weights := 1)
   /// Same for the dual row weights; `alpha`/`pattern` hold the FTRAN'd
@@ -218,11 +200,7 @@ class RevisedSimplex {
   std::vector<VarState> state_;
   std::vector<int> basis_;
 
-  std::vector<Eta> etas_;
-  std::vector<int> eta_index_;     ///< shared arena: off-pivot row indices
-  std::vector<double> eta_value_;  ///< shared arena: off-pivot coefficients
-  int factor_etas_ = 0;  ///< etas belonging to the factorization itself
-  LuFactorization lu_;   ///< active when options_.factorization == kForrestTomlin
+  LuFactorization lu_;
   bool factor_rebuilt_ = false;  ///< factor_update refactorized mid-pivot
   bool rows_dirty_ = false;      ///< add_row deferred the CSC/scratch refresh
   bool basis_valid_ = false;
@@ -234,9 +212,8 @@ class RevisedSimplex {
   long refactorizations_ = 0;
   long basis_updates_ = 0;
   long warm_rows_added_ = 0;
-  long eta_fallbacks_ = 0;
 
-  // Scratch for refactorize_lu / add_row.
+  // Scratch for refactorize.
   std::vector<int> lu_col_rows_;
   std::vector<double> lu_col_vals_;
   std::vector<int> lu_col_start_;

@@ -22,37 +22,21 @@ enum class SolveStatus {
 
 /// Which engine lp::solve routes through.
 enum class Algorithm {
-  kRevised,       ///< revised simplex, factorized basis (revised_simplex.h)
-  kDenseTableau,  ///< legacy dense two-phase tableau (retained as oracle)
-};
-
-/// Entering/leaving-candidate selection rule of the revised simplex. The
-/// dense tableau always prices with Dantzig and ignores this option.
-enum class Pricing {
-  kDantzig,  ///< most-violated reduced cost (differential-testing oracle)
-  kDevex,    ///< devex reference-framework weights (primal and dual)
-};
-
-/// Basis factorization of the revised simplex. The dense tableau carries
-/// its own explicit inverse and ignores this option.
-enum class Factorization {
-  /// Markowitz-pivoted sparse LU with Forrest-Tomlin column updates:
-  /// bounded fill, refactorization on fill/instability thresholds, and
-  /// warm row addition for cutting loops (lp/lu_factorization.h).
-  kForrestTomlin,
-  /// Product-form eta file with a fixed refactor interval — the original
-  /// engine, retained as the differential-testing oracle.
-  kEta,
+  /// Revised simplex: Forrest-Tomlin LU basis, devex pricing, warm starts
+  /// and warm row addition (revised_simplex.h). The production path.
+  kRevised,
+  /// Dense two-phase tableau with Dantzig pricing: the independent oracle,
+  /// and the last rung the revised engine falls back to on numerical
+  /// trouble.
+  kDenseTableau,
 };
 
 struct SolveOptions {
   long max_iterations = 200000;  ///< total pivot budget over both phases
   double tolerance = 1e-7;       ///< feasibility/optimality tolerance
   Algorithm algorithm = Algorithm::kRevised;
-  Pricing pricing = Pricing::kDevex;
-  Factorization factorization = Factorization::kForrestTomlin;
   /// Forrest-Tomlin updates tolerated before a refactorization is
-  /// scheduled (the eta file keeps its fixed every-64 interval).
+  /// scheduled.
   int refactor_update_limit = 100;
   /// Refactorize when the LU operator file grows past this multiple of
   /// the fresh-factor nonzeros.

@@ -604,19 +604,19 @@ TEST(ConflictExplanationTest, ChainAndCutSetInstancesEveryNogoodChecks) {
 
 // ---------------------------------------------------- learning differentials
 
-/// The PR-3/PR-4 switch matrix, re-run with conflict learning on and off:
-/// optima bit-equal in every cell.
+/// The root-mechanism switch matrix (probing, clique cuts, branching
+/// rule), re-run with conflict learning on and off: optima bit-equal in
+/// every cell.
 TEST(ConflictDifferentialTest, SwitchMatrixOptimaIdenticalLearningOnAndOff) {
   for (int instance = 0; instance < 6; ++instance) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 48271 + 7);
     const Model model = random_mip(rng);
-    for (int mask = 0; mask < 16; ++mask) {
+    for (int mask = 0; mask < 8; ++mask) {
       Options base;
       base.objective_is_integral = true;
-      base.devex_pricing = (mask & 1) != 0;
-      base.probing = (mask & 2) != 0;
-      base.clique_cuts = (mask & 4) != 0;
-      base.branching = (mask & 8) != 0 ? Branching::kInputOrder
+      base.probing = (mask & 1) != 0;
+      base.clique_cuts = (mask & 2) != 0;
+      base.branching = (mask & 4) != 0 ? Branching::kInputOrder
                                        : Branching::kAuto;
       Options off = base;
       off.conflict_learning = false;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/model.h"
@@ -176,13 +178,6 @@ TEST_P(IlpRandomKnapsackTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomKnapsacks, IlpRandomKnapsackTest,
                          ::testing::Range(0, 25));
 
-/// The pre-PR configuration: dense-tableau cold start per node, pure
-/// most-fractional branching, no presolve/propagation/warm start, and all
-/// PR-3 mechanisms (devex, probing, clique cuts, input-order chain
-/// branching) off. Retained as the differential oracle for the
-/// accelerated pipeline.
-Options legacy_options() { return legacy_solver_options(); }
-
 Model random_mip(common::Rng& rng) {
   Model model;
   const int n = 6 + static_cast<int>(rng.next_below(5));
@@ -205,25 +200,51 @@ Model random_mip(common::Rng& rng) {
   return model;
 }
 
+/// Exhaustive oracle for all-binary models: enumerates every one of the
+/// 2^n 0/1 points and returns the best objective among the feasible ones,
+/// or nullopt when none is feasible. Shares no code with branch-and-bound
+/// (only the model's own feasibility and objective evaluation).
+std::optional<double> enumerate_optimum(const Model& model) {
+  const int n = model.variable_count();
+  std::optional<double> best;
+  std::vector<double> point(static_cast<std::size_t>(n));
+  for (long mask = 0; mask < (1L << n); ++mask) {
+    for (int j = 0; j < n; ++j) {
+      point[static_cast<std::size_t>(j)] = (mask >> j) & 1L ? 1.0 : 0.0;
+    }
+    if (!model.is_feasible(point)) continue;
+    const double objective = model.lp().objective_value(point);
+    if (!best.has_value() || objective < *best) best = objective;
+  }
+  return best;
+}
+
+/// Checks `result` against the exhaustive optimum of `model`: same
+/// feasibility verdict, the same optimum (integral objectives, so exact),
+/// and a feasible incumbent.
+void expect_matches_enumeration(const Model& model, const Result& result,
+                                const std::optional<double>& optimum) {
+  if (!optimum.has_value()) {
+    EXPECT_EQ(result.status, ResultStatus::kInfeasible);
+    return;
+  }
+  ASSERT_EQ(result.status, ResultStatus::kOptimal);
+  EXPECT_EQ(result.objective, *optimum);
+  EXPECT_TRUE(model.is_feasible(result.values, 1e-6));
+}
+
 class IlpDifferentialTest : public ::testing::TestWithParam<int> {};
 
-// The accelerated pipeline (presolve + propagation + warm-started dual
-// simplex + pseudocosts) must reproduce the legacy solver's optima exactly.
-TEST_P(IlpDifferentialTest, AcceleratedMatchesLegacyOptimum) {
+// The default pipeline (presolve + propagation + warm-started dual simplex
+// + pseudocosts + conflict learning) must reproduce the exhaustive optimum
+// exactly.
+TEST_P(IlpDifferentialTest, DefaultsMatchExhaustiveOptimum) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
   const Model model = random_mip(rng);
-  Options accelerated;
-  accelerated.objective_is_integral = true;
-  Options legacy = legacy_options();
-  legacy.objective_is_integral = true;
-  const Result fast = solve(model, accelerated);
-  const Result slow = solve(model, legacy);
-  ASSERT_EQ(fast.status, slow.status);
-  if (fast.status == ResultStatus::kOptimal) {
-    // Integral objectives: the optima must agree bit-for-bit.
-    EXPECT_EQ(fast.objective, slow.objective);
-    EXPECT_TRUE(model.is_feasible(fast.values, 1e-6));
-  }
+  Options options;
+  options.objective_is_integral = true;
+  expect_matches_enumeration(model, solve(model, options),
+                             enumerate_optimum(model));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMips, IlpDifferentialTest,
@@ -231,29 +252,22 @@ INSTANTIATE_TEST_SUITE_P(RandomMips, IlpDifferentialTest,
 
 class IlpSwitchMatrixTest : public ::testing::TestWithParam<int> {};
 
-// Every combination of the PR-3 mechanisms (devex pricing, probing, clique
-// cuts, input-order branching) must reproduce the legacy optimum on random
-// MIPs: the switches trade speed, never answers.
-TEST_P(IlpSwitchMatrixTest, AllSwitchCombinationsMatchLegacy) {
+// Every combination of the root mechanisms (probing, clique cuts) and the
+// branching rule must reproduce the exhaustive optimum on random MIPs: the
+// switches trade speed, never answers.
+TEST_P(IlpSwitchMatrixTest, AllSwitchCombinationsMatchEnumeration) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271828 + 17);
   const Model model = random_mip(rng);
-  Options legacy = legacy_options();
-  legacy.objective_is_integral = true;
-  const Result reference = solve(model, legacy);
-  for (int mask = 0; mask < 16; ++mask) {
+  const std::optional<double> optimum = enumerate_optimum(model);
+  for (int mask = 0; mask < 8; ++mask) {
     Options options;
     options.objective_is_integral = true;
-    options.devex_pricing = (mask & 1) != 0;
-    options.probing = (mask & 2) != 0;
-    options.clique_cuts = (mask & 4) != 0;
-    options.branching = (mask & 8) != 0 ? Branching::kInputOrder
+    options.probing = (mask & 1) != 0;
+    options.clique_cuts = (mask & 2) != 0;
+    options.branching = (mask & 4) != 0 ? Branching::kInputOrder
                                         : Branching::kAuto;
-    const Result result = solve(model, options);
-    ASSERT_EQ(result.status, reference.status) << "mask " << mask;
-    if (reference.status == ResultStatus::kOptimal) {
-      EXPECT_EQ(result.objective, reference.objective) << "mask " << mask;
-      EXPECT_TRUE(model.is_feasible(result.values, 1e-6)) << "mask " << mask;
-    }
+    SCOPED_TRACE(::testing::Message() << "mask " << mask);
+    expect_matches_enumeration(model, solve(model, options), optimum);
   }
 }
 

@@ -20,19 +20,6 @@ SolveOptions dense_options() {
   return options;
 }
 
-SolveOptions revised_options(Pricing pricing) {
-  SolveOptions options;
-  options.algorithm = Algorithm::kRevised;
-  options.pricing = pricing;
-  return options;
-}
-
-/// Sweep parameter: low bit selects the pricing rule, the rest seeds the
-/// RNG, so every differential case runs under both Dantzig and devex.
-Pricing pricing_of(int param) {
-  return param % 2 == 0 ? Pricing::kDantzig : Pricing::kDevex;
-}
-
 TEST(RevisedSimplexTest, MatchesDenseOnTransportation) {
   Model model;
   const int x11 = model.add_variable(0.0, 30.0, 1.0);
@@ -162,11 +149,11 @@ Model random_model(common::Rng& rng) {
 class RevisedVsDenseTest : public ::testing::TestWithParam<int> {};
 
 // Differential: both engines must agree on feasibility, and on the optimal
-// objective when feasible — under both pricing rules.
+// objective when feasible.
 TEST_P(RevisedVsDenseTest, AgreesWithDenseOracle) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam() / 2) * 7919 + 13);
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
   Model model = random_model(rng);
-  const Solution revised = solve(model, revised_options(pricing_of(GetParam())));
+  const Solution revised = solve(model);
   const Solution dense = solve(model, dense_options());
   ASSERT_NE(revised.status, SolveStatus::kIterationLimit);
   ASSERT_NE(dense.status, SolveStatus::kIterationLimit);
@@ -179,18 +166,17 @@ TEST_P(RevisedVsDenseTest, AgreesWithDenseOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, RevisedVsDenseTest,
-                         ::testing::Range(0, 120));
+                         ::testing::Range(0, 60));
 
 class WarmStartDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // The warm-started engine walks a random sequence of bound changes; after
-// every step its result must match a dense cold solve of the same model —
-// under both pricing rules.
+// every step its result must match a dense cold solve of the same model.
 TEST_P(WarmStartDifferentialTest, WarmEqualsColdOverBoundChanges) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam() / 2) * 104729 + 71);
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 71);
   Model model = random_model(rng);
   const int vars = model.variable_count();
-  RevisedSimplex solver(model, revised_options(pricing_of(GetParam())));
+  RevisedSimplex solver(model);
 
   Model scratch = model;  // dense oracle sees the same bound trajectory
   for (int step = 0; step < 12; ++step) {
@@ -226,7 +212,7 @@ TEST_P(WarmStartDifferentialTest, WarmEqualsColdOverBoundChanges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWalks, WarmStartDifferentialTest,
-                         ::testing::Range(0, 80));
+                         ::testing::Range(0, 40));
 
 class WarmRestoreDifferentialTest : public ::testing::TestWithParam<int> {};
 
@@ -239,10 +225,10 @@ class WarmRestoreDifferentialTest : public ::testing::TestWithParam<int> {};
 // Any pricing or devex state left stale by the fast path shows up here as
 // a wrong objective or status.
 TEST_P(WarmRestoreDifferentialTest, RestoredBasisEqualsColdCrash) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam() / 2) * 50021 + 9);
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 50021 + 9);
   Model model = random_model(rng);
   const int vars = model.variable_count();
-  RevisedSimplex solver(model, revised_options(pricing_of(GetParam())));
+  RevisedSimplex solver(model);
 
   Model scratch = model;  // cold-crash oracle tracks the live bounds
   std::vector<BasisSnapshot> snapshots;
@@ -294,7 +280,7 @@ TEST_P(WarmRestoreDifferentialTest, RestoredBasisEqualsColdCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomRestores, WarmRestoreDifferentialTest,
-                         ::testing::Range(0, 60));
+                         ::testing::Range(0, 30));
 
 // Regression for the perturbed-cost path: the dual reoptimize runs on
 // leaned (anti-degeneracy) costs, and the exact-cost primal polish may hit
@@ -317,29 +303,27 @@ TEST(RevisedSimplexTest, TinyPolishBudgetNeverLeaksPerturbedCosts) {
   const Solution dense = solve(model, dense_options());
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
 
-  for (const Pricing pricing : {Pricing::kDantzig, Pricing::kDevex}) {
-    SolveOptions options = revised_options(pricing);
-    options.max_iterations = 1;  // absurdly small: every phase truncates
-    RevisedSimplex solver(model, options);
-    Solution solution;
-    bool reached_optimal = false;
-    for (long budget = 1; budget <= 1024 && !reached_optimal; budget *= 2) {
-      solver.set_iteration_limit(budget);
-      solution = solver.reoptimize();
-      ASSERT_FALSE(solver.numerical_trouble());
-      if (solution.status == SolveStatus::kIterationLimit &&
-          !solution.values.empty()) {
-        // A truncated-but-feasible report must price its own point with
-        // the exact objective vector.
-        EXPECT_EQ(solution.objective, model.objective_value(solution.values));
-        EXPECT_LE(model.max_violation(solution.values), 1e-6);
-      }
-      reached_optimal = solution.status == SolveStatus::kOptimal;
+  SolveOptions options;
+  options.max_iterations = 1;  // absurdly small: every phase truncates
+  RevisedSimplex solver(model, options);
+  Solution solution;
+  bool reached_optimal = false;
+  for (long budget = 1; budget <= 1024 && !reached_optimal; budget *= 2) {
+    solver.set_iteration_limit(budget);
+    solution = solver.reoptimize();
+    ASSERT_FALSE(solver.numerical_trouble());
+    if (solution.status == SolveStatus::kIterationLimit &&
+        !solution.values.empty()) {
+      // A truncated-but-feasible report must price its own point with
+      // the exact objective vector.
+      EXPECT_EQ(solution.objective, model.objective_value(solution.values));
+      EXPECT_LE(model.max_violation(solution.values), 1e-6);
     }
-    ASSERT_TRUE(reached_optimal);
-    EXPECT_EQ(solution.objective, dense.objective)
-        << "objective must bit-match the dense tableau";
+    reached_optimal = solution.status == SolveStatus::kOptimal;
   }
+  ASSERT_TRUE(reached_optimal);
+  EXPECT_EQ(solution.objective, dense.objective)
+      << "objective must bit-match the dense tableau";
 }
 
 // A budget-truncated warm reoptimize after bound changes must also report

@@ -3,8 +3,8 @@
 //
 //   dense LU   — Gaussian elimination with partial pivoting on an explicit
 //                copy of the basis matrix (ground truth),
-//   eta file   — a product-form eta oracle updated exactly the way the
-//                pre-PR revised simplex maintained its basis.
+//   eta file   — an in-test product-form eta oracle, updated the way a
+//                product-form revised simplex maintains its basis.
 //
 // Random basis walks replace columns one at a time (saving the FTRAN spike
 // exactly as the simplex does), interleave warm row additions, and force
@@ -522,29 +522,19 @@ Model random_lp(common::Rng& rng) {
   return model;
 }
 
-SolveOptions factor_options(Factorization factorization) {
-  SolveOptions options;
-  options.algorithm = Algorithm::kRevised;
-  options.factorization = factorization;
-  return options;
-}
-
-// The solver-level hierarchy: Forrest-Tomlin vs eta vs dense tableau on
-// random LPs — same status, same optimum.
-TEST(LuFactorizationTest, RevisedSimplexFactorizationsAgree) {
+// The solver-level hierarchy: the Forrest-Tomlin revised simplex vs the
+// dense tableau on random LPs — same status, same optimum.
+TEST(LuFactorizationTest, RevisedSimplexMatchesDenseTableau) {
   for (int trial = 0; trial < 120; ++trial) {
     common::Rng rng(static_cast<std::uint64_t>(trial) * 2654435761u + 11);
     const Model model = random_lp(rng);
-    const Solution ft = solve(model, factor_options(Factorization::kForrestTomlin));
-    const Solution eta = solve(model, factor_options(Factorization::kEta));
+    const Solution ft = solve(model);
     SolveOptions dense_options;
     dense_options.algorithm = Algorithm::kDenseTableau;
     const Solution dense = solve(model, dense_options);
     ASSERT_EQ(ft.status, dense.status) << "trial " << trial;
-    ASSERT_EQ(eta.status, dense.status) << "trial " << trial;
     if (dense.status == SolveStatus::kOptimal) {
       EXPECT_NEAR(ft.objective, dense.objective, 1e-6) << "trial " << trial;
-      EXPECT_NEAR(eta.objective, dense.objective, 1e-6) << "trial " << trial;
     }
   }
 }
@@ -556,7 +546,7 @@ TEST(LuFactorizationTest, WarmRowAdditionMatchesColdSolve) {
   for (int trial = 0; trial < 80; ++trial) {
     common::Rng rng(static_cast<std::uint64_t>(trial) * 48271 + 23);
     Model model = random_lp(rng);
-    RevisedSimplex warm(model, factor_options(Factorization::kForrestTomlin));
+    RevisedSimplex warm(model);
     const Solution first = warm.solve_cold();
     if (first.status != SolveStatus::kOptimal) continue;
 
@@ -579,7 +569,7 @@ TEST(LuFactorizationTest, WarmRowAdditionMatchesColdSolve) {
 
       const Solution warm_solution = warm.reoptimize();
       if (warm.numerical_trouble()) break;  // cold fallback covered elsewhere
-      const Solution cold = solve(model, factor_options(Factorization::kForrestTomlin));
+      const Solution cold = solve(model);
       ASSERT_EQ(warm_solution.status, cold.status)
           << "trial " << trial << " round " << round;
       if (cold.status != SolveStatus::kOptimal) break;

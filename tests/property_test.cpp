@@ -230,13 +230,25 @@ TEST(VectorShapeProperty, OpenAndClosedCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver-option-set equivalence: the accelerated ILP pipeline (devex,
-// probing, clique cuts, orbit rows, input-order branching) and the legacy
-// pipeline may produce different vector sets, but the behavioral fault
-// coverage audited through sim/ must be identical.
+// Solver-option-set equivalence: the default ILP pipeline and one with
+// every search-side mechanism switched off may produce different vector
+// sets, but the behavioral fault coverage audited through sim/ must be
+// identical.
 
-/// The pre-PR-2 solver configuration (one shared definition in ilp/).
-ilp::Options legacy_ilp_options() { return ilp::legacy_solver_options(); }
+/// The defaults with presolve, node propagation, conflict learning,
+/// probing, clique cuts, orbit rows and budget floor rows all off: the
+/// plain warm-LP branch-and-bound underneath every mechanism.
+ilp::Options mechanisms_off_options() {
+  ilp::Options options;
+  options.presolve = false;
+  options.node_propagation = false;
+  options.conflict_learning = false;
+  options.probing = false;
+  options.clique_cuts = false;
+  options.orbit_symmetry_rows = false;
+  options.budget_floor_rows = false;
+  return options;
+}
 
 /// Audited coverage signature of `vectors` over `universe`: the sorted
 /// undetected-fault names (plus the detected count). Two vector sets with
@@ -255,17 +267,13 @@ std::vector<std::string> coverage_signature(
   return signature;
 }
 
-// Flow-path and cut-set ILP generators, legacy vs accelerated option sets,
-// on small full arrays and one irregular array: identical budgets and
+// Flow-path and cut-set ILP generators, defaults vs mechanisms off, on
+// small full arrays and one irregular array: identical budgets and
 // identical audited fault coverage.
 TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines) {
   std::vector<grid::ValveArray> arrays;
   arrays.push_back(grid::full_array(2, 2));
-#ifdef NDEBUG
-  // The legacy (dense cold-start) pipeline needs ~1 s on a full 3x3 in
-  // Release; debug/sanitizer builds skip it to stay inside the CI budget.
   arrays.push_back(grid::full_array(3, 3));
-#endif
   // One irregular array: channels punch through the regular structure.
   arrays.push_back(grid::LayoutBuilder(3, 3)
                        .channel(Site{1, 2})
@@ -277,11 +285,11 @@ TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines)
     // covers whose behavioral detection differs, but the budget and the
     // structural cover — every valve crossed by some path — must agree.
     const auto accel_paths = core::find_minimum_flow_paths(array, 1, 6);
-    const auto legacy_paths =
-        core::find_minimum_flow_paths(array, 1, 6, legacy_ilp_options());
-    ASSERT_EQ(accel_paths.has_value(), legacy_paths.has_value());
+    const auto plain_paths =
+        core::find_minimum_flow_paths(array, 1, 6, mechanisms_off_options());
+    ASSERT_EQ(accel_paths.has_value(), plain_paths.has_value());
     if (accel_paths.has_value()) {
-      EXPECT_EQ(accel_paths->path_budget, legacy_paths->path_budget);
+      EXPECT_EQ(accel_paths->path_budget, plain_paths->path_budget);
       EXPECT_TRUE(accel_paths->proven_minimal);
       const auto covered_valves = [&](const core::IlpPathResult& result) {
         std::vector<bool> mask(
@@ -293,18 +301,18 @@ TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines)
         }
         return mask;
       };
-      EXPECT_EQ(covered_valves(*accel_paths), covered_valves(*legacy_paths));
+      EXPECT_EQ(covered_valves(*accel_paths), covered_valves(*plain_paths));
     }
 
-    // Cut sets (2x2-sized models only: the legacy pipeline needs minutes
-    // on anything larger, which is the point of this PR).
+    // Cut sets (2x2-sized models only: without propagation and conflict
+    // learning the cut-set refutations need minutes on anything larger).
     if (array.valve_count() <= 4) {
       const auto accel_cuts = core::find_minimum_cut_sets(array, 1, 4, true);
-      const auto legacy_cuts =
-          core::find_minimum_cut_sets(array, 1, 4, true, legacy_ilp_options());
-      ASSERT_EQ(accel_cuts.has_value(), legacy_cuts.has_value());
+      const auto plain_cuts = core::find_minimum_cut_sets(
+          array, 1, 4, true, mechanisms_off_options());
+      ASSERT_EQ(accel_cuts.has_value(), plain_cuts.has_value());
       if (accel_cuts.has_value()) {
-        EXPECT_EQ(accel_cuts->cut_budget, legacy_cuts->cut_budget);
+        EXPECT_EQ(accel_cuts->cut_budget, plain_cuts->cut_budget);
         const auto covered_valves = [&](const core::IlpCutResult& result) {
           std::vector<bool> mask(
               static_cast<std::size_t>(array.valve_count()), false);
@@ -315,20 +323,18 @@ TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines)
           }
           return mask;
         };
-        EXPECT_EQ(covered_valves(*accel_cuts), covered_valves(*legacy_cuts));
+        EXPECT_EQ(covered_valves(*accel_cuts), covered_valves(*plain_cuts));
       }
     }
   }
 }
 
-// End-to-end generator on every Table-I preset: the accelerated ILP
-// pipeline and the legacy option set must audit to identical fault
-// coverage. The 5x5 preset exercises the ILP path engine (39 valves fits
-// the limit); the legacy configuration routes through the constructive
-// engine (valve limit 0) because its dense cold-start ILP needs minutes on
-// the 5x5 preset — which is exactly the regression this PR removes. The
-// repair loop makes audited coverage invariant across engines, so the
-// comparison stays meaningful.
+// End-to-end generator on every Table-I preset: the default ILP pipeline
+// and the mechanisms-off option set must audit to identical fault
+// coverage. The 5x5 preset runs the ILP path engine under both option sets
+// (39 valves fits the limit); the larger presets fall back to the
+// constructive engine either way. The repair loop makes audited coverage
+// invariant across covers, so the comparison stays meaningful.
 TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipelines) {
   for (const int n : grid::table1_sizes()) {
 #ifndef NDEBUG
@@ -337,11 +343,10 @@ TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipeline
     const auto array = grid::table1_array(n);
     core::GeneratorOptions accelerated;
     accelerated.path_engine = core::GeneratorOptions::PathEngine::kIlp;
-    core::GeneratorOptions legacy = accelerated;
-    legacy.ilp_options = legacy_ilp_options();
-    legacy.ilp_valve_limit = 0;
+    core::GeneratorOptions plain = accelerated;
+    plain.ilp_options = mechanisms_off_options();
     const auto accel_set = core::generate_test_set(array, accelerated);
-    const auto legacy_set = core::generate_test_set(array, legacy);
+    const auto plain_set = core::generate_test_set(array, plain);
 
     std::vector<sim::Fault> universe;
     for (grid::ValveId v = 0; v < array.valve_count(); ++v) {
@@ -349,9 +354,10 @@ TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipeline
       universe.push_back(sim::stuck_at_1(v));
     }
     EXPECT_EQ(coverage_signature(array, accel_set.vectors, universe),
-              coverage_signature(array, legacy_set.vectors, universe))
+              coverage_signature(array, plain_set.vectors, universe))
         << "preset " << n << "x" << n;
     EXPECT_TRUE(accel_set.ilp_certified) << "preset " << n;
+    EXPECT_TRUE(plain_set.ilp_certified) << "preset " << n;
   }
 }
 

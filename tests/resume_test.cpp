@@ -320,8 +320,8 @@ TEST(ResumeTest, LuInstabilityClimbsTheRecoveryLadder) {
   ASSERT_TRUE(baseline.has_value());
 
   // Force *every* Forrest-Tomlin refactorization to report singular: the
-  // warm solver's LU is unusable, so the ladder must escalate (eta oracle,
-  // then dense tableau) instead of aborting — and still certify the same
+  // warm solver's LU is unusable, so the ladder must escalate from the LU
+  // to the dense tableau instead of aborting — and still certify the same
   // minimum.
   common::failpoint::arm("lp.lu_refactor", common::failpoint::Action::kError,
                          /*skip_hits=*/0, /*repeat=*/1'000'000);
@@ -330,9 +330,10 @@ TEST(ResumeTest, LuInstabilityClimbsTheRecoveryLadder) {
   ASSERT_TRUE(hobbled.has_value());
   EXPECT_EQ(hobbled->cut_budget, baseline->cut_budget);
   EXPECT_EQ(hobbled->proven_minimal, baseline->proven_minimal);
-  // The recovery rungs actually fired and were surfaced as counters.
-  EXPECT_GT(hobbled->ilp.lp_eta_fallbacks + hobbled->ilp.lp_dense_fallbacks,
-            0);
+  // The dense rung actually fired and was surfaced as a counter; the
+  // ladder has no other rung, so lp_eta_fallbacks stays 0.
+  EXPECT_GT(hobbled->ilp.lp_dense_fallbacks, 0);
+  EXPECT_EQ(hobbled->ilp.lp_eta_fallbacks, 0);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // Forrest-Tomlin work): appending cut rows to a live factorized basis and
 // dual-repairing must be indistinguishable — in reported optimum and in
 // the validity of the final basis — from crashing the extended LP cold
-// each round, and the ILP pipeline's answers must be bit-identical with
-// the mechanism on or off across the full options switch matrix and the
-// paper's Table-I / full-array presets.
+// each round. The paper's Table-I / full-array presets must certify the
+// same budgets with the node-LP basis stack on or off.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,20 +13,12 @@
 #include "core/ilp_models.h"
 #include "grid/presets.h"
 #include "ilp/branch_and_bound.h"
-#include "ilp/model.h"
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 
 namespace fpva {
 namespace {
-
-lp::SolveOptions ft_options() {
-  lp::SolveOptions options;
-  options.algorithm = lp::Algorithm::kRevised;
-  options.factorization = lp::Factorization::kForrestTomlin;
-  return options;
-}
 
 /// Random packing-flavored LP: binaries-shaped boxes with knapsack rows,
 /// the shape the root cutting loop actually sees.
@@ -64,7 +55,7 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
     common::Rng rng(static_cast<std::uint64_t>(trial) * 6364136223846793005ULL +
                     1442695040888963407ULL);
     lp::Model model = random_packing_lp(rng, 6 + static_cast<int>(rng.next_below(8)));
-    lp::RevisedSimplex warm(model, ft_options());
+    lp::RevisedSimplex warm(model);
     lp::Solution current = warm.solve_cold();
     ASSERT_EQ(current.status, lp::SolveStatus::kOptimal) << "trial " << trial;
 
@@ -89,7 +80,7 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
           << "trial " << trial << " round " << round;
 
       // Cold oracle: dual crash over the extended model from scratch.
-      lp::RevisedSimplex cold(model, ft_options());
+      lp::RevisedSimplex cold(model);
       const lp::Solution cold_solution = cold.solve_cold();
       ASSERT_EQ(warm_solution.status, cold_solution.status)
           << "trial " << trial << " round " << round;
@@ -101,7 +92,7 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
       // fresh solver, is already optimal — zero pivots, and (being the
       // same basis refactorized the same way twice) a bit-identical
       // objective on a second restore.
-      lp::RevisedSimplex check(model, ft_options());
+      lp::RevisedSimplex check(model);
       ASSERT_TRUE(check.restore_basis(warm.snapshot_basis()))
           << "trial " << trial << " round " << round;
       const lp::Solution restored = check.reoptimize();
@@ -113,7 +104,7 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
       EXPECT_NEAR(restored.objective, warm_solution.objective, 1e-8)
           << "trial " << trial << " round " << round;
 
-      lp::RevisedSimplex again(model, ft_options());
+      lp::RevisedSimplex again(model);
       ASSERT_TRUE(again.restore_basis(warm.snapshot_basis()));
       const lp::Solution replay = again.reoptimize();
       // Same basis, same bounds, same code path: bit-identical.
@@ -125,87 +116,27 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
   }
 }
 
-ilp::Model random_mip(common::Rng& rng) {
-  ilp::Model model;
-  const int n = 6 + static_cast<int>(rng.next_below(5));
-  std::vector<lp::Term> knap;
-  for (int i = 0; i < n; ++i) {
-    const int x = model.add_binary(-static_cast<double>(rng.next_in(1, 12)));
-    knap.push_back({x, static_cast<double>(rng.next_in(1, 8))});
-  }
-  model.add_constraint(std::move(knap), lp::Sense::kLessEqual,
-                       static_cast<double>(rng.next_in(6, 24)));
-  for (int r = 0; r < 2; ++r) {
-    std::vector<lp::Term> cover;
-    for (int i = 0; i < n; ++i) {
-      if (rng.next_bool(0.4)) cover.push_back({i, 1.0});
-    }
-    if (cover.size() < 2) cover = {{0, 1.0}, {n - 1, 1.0}};
-    model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual, 1.0);
-  }
-  return model;
-}
-
-// The 16-combination switch matrix of PR-3 mechanisms, re-run with warm
-// row addition (and its dependents) on and off: the optima must be
-// bit-identical in every cell — warm rows change how the LP reaches the
-// answer, never the answer.
-TEST(WarmRowAdditionTest, SwitchMatrixOptimaIdenticalWarmOnAndOff) {
-  for (int instance = 0; instance < 6; ++instance) {
-    common::Rng rng(static_cast<std::uint64_t>(instance) * 982451653ULL + 29);
-    const ilp::Model model = random_mip(rng);
-    for (int mask = 0; mask < 16; ++mask) {
-      ilp::Options base;
-      base.objective_is_integral = true;
-      base.devex_pricing = (mask & 1) != 0;
-      base.probing = (mask & 2) != 0;
-      base.clique_cuts = (mask & 4) != 0;
-      base.branching = (mask & 8) != 0 ? ilp::Branching::kInputOrder
-                                       : ilp::Branching::kAuto;
-
-      ilp::Options warm_on = base;
-      warm_on.warm_row_addition = true;
-      ilp::Options warm_off = base;
-      warm_off.warm_row_addition = false;
-      warm_off.cut_depth = 0;  // cut-and-branch rides on warm rows
-      const ilp::Result on = ilp::solve(model, warm_on);
-      const ilp::Result off = ilp::solve(model, warm_off);
-      ASSERT_EQ(on.status, off.status)
-          << "instance " << instance << " mask " << mask;
-      if (on.status == ilp::ResultStatus::kOptimal) {
-        EXPECT_EQ(on.objective, off.objective)
-            << "instance " << instance << " mask " << mask;
-      }
-    }
-  }
-}
-
 // Table-I / full-array presets through the real pipeline: the minimum
-// budgets and their certificates must not depend on warm row addition,
-// the basis stack, or cut-and-branch.
-TEST(WarmRowAdditionTest, PresetBudgetsIdenticalWarmOnAndOff) {
-  ilp::Options warm_on;
-  warm_on.objective_is_integral = true;
-  ilp::Options warm_off = warm_on;
-  warm_off.warm_row_addition = false;
-  warm_off.basis_stack_depth = 0;
-  warm_off.cut_depth = 0;
+// budgets and their certificates must not depend on the basis stack.
+TEST(WarmRowAdditionTest, PresetBudgetsIdenticalBasisStackOnAndOff) {
+  ilp::Options stack_on;
+  stack_on.objective_is_integral = true;
+  ilp::Options stack_off = stack_on;
+  stack_off.basis_stack_depth = 0;
 
   const grid::ValveArray table1 = grid::table1_array(5);
-  for (const grid::ValveArray* array :
-       {&table1}) {
-    const auto on = core::find_minimum_flow_paths(*array, 1, 8, warm_on);
-    const auto off = core::find_minimum_flow_paths(*array, 1, 8, warm_off);
-    ASSERT_TRUE(on.has_value());
-    ASSERT_TRUE(off.has_value());
-    EXPECT_EQ(on->path_budget, off->path_budget);
-    EXPECT_EQ(on->proven_minimal, off->proven_minimal);
-  }
+  const auto paths_on = core::find_minimum_flow_paths(table1, 1, 8, stack_on);
+  const auto paths_off =
+      core::find_minimum_flow_paths(table1, 1, 8, stack_off);
+  ASSERT_TRUE(paths_on.has_value());
+  ASSERT_TRUE(paths_off.has_value());
+  EXPECT_EQ(paths_on->path_budget, paths_off->path_budget);
+  EXPECT_EQ(paths_on->proven_minimal, paths_off->proven_minimal);
 
   for (const int n : {2, 3}) {
     const grid::ValveArray array = grid::full_array(n, n);
-    const auto on = core::find_minimum_cut_sets(array, 1, 8, true, warm_on);
-    const auto off = core::find_minimum_cut_sets(array, 1, 8, true, warm_off);
+    const auto on = core::find_minimum_cut_sets(array, 1, 8, true, stack_on);
+    const auto off = core::find_minimum_cut_sets(array, 1, 8, true, stack_off);
     ASSERT_TRUE(on.has_value()) << n;
     ASSERT_TRUE(off.has_value()) << n;
     EXPECT_EQ(on->cut_budget, off->cut_budget) << n;
