@@ -11,12 +11,17 @@
 // nodes = branch-and-bound nodes, pivots = simplex pivots summed over all
 // node LPs, cuts = root clique/cover cutting planes kept, budget = minimum
 // path/cut count found, proven = 1 when the budget carries an optimality
-// certificate.
+// certificate. BM_LuFactorize times one basis factorization on its own;
+// its lufill counter (factor nonzeros) pins the Markowitz pivot order.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "core/ilp_models.h"
 #include "core/path_planner.h"
 #include "grid/presets.h"
+#include "lp/lu_factorization.h"
 #include "lp/simplex.h"
 
 namespace {
@@ -334,5 +339,51 @@ void BM_ConstructivePathCover(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructivePathCover)->Arg(5)->Arg(10)->Arg(20)->Arg(30)
     ->Unit(benchmark::kMillisecond);
+
+// Layer microbench: factorize a seeded slack-heavy m x m basis — three in
+// four columns are unit (slack) columns, the rest carry 2-8 entries — the
+// shape the certification LPs refactorize between Forrest-Tomlin runs.
+void BM_LuFactorize(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  common::Rng rng(static_cast<std::uint64_t>(m));
+  std::vector<int> diagonal_row(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) diagonal_row[static_cast<std::size_t>(i)] = i;
+  rng.shuffle(diagonal_row);
+  std::vector<std::vector<int>> rows(static_cast<std::size_t>(m));
+  std::vector<std::vector<double>> values(static_cast<std::size_t>(m));
+  for (int c = 0; c < m; ++c) {
+    auto& col_rows = rows[static_cast<std::size_t>(c)];
+    auto& col_values = values[static_cast<std::size_t>(c)];
+    col_rows.push_back(diagonal_row[static_cast<std::size_t>(c)]);
+    col_values.push_back(1.0 + 2.0 * rng.next_double());
+    if (rng.next_bool(0.75)) continue;
+    const int extras = 1 + static_cast<int>(rng.next_below(7));
+    for (int e = 0; e < extras; ++e) {
+      const int r =
+          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+      if (std::find(col_rows.begin(), col_rows.end(), r) != col_rows.end()) {
+        continue;
+      }
+      col_rows.push_back(r);
+      col_values.push_back(rng.next_bool() ? 1.0 : -1.0);
+    }
+  }
+  std::vector<lp::BasisColumn> columns(static_cast<std::size_t>(m));
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    columns[c] = {rows[c].data(), values[c].data(),
+                  static_cast<int>(rows[c].size())};
+  }
+  lp::LuFactorization lu;
+  for (auto _ : state) {
+    if (!lu.factorize(m, columns)) {
+      state.SkipWithError("basis reported singular");
+      break;
+    }
+    benchmark::DoNotOptimize(lu.factor_fill());
+  }
+  state.counters["lufill"] = static_cast<double>(lu.factor_fill());
+}
+BENCHMARK(BM_LuFactorize)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

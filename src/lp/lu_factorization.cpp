@@ -1,16 +1,175 @@
 #include "lp/lu_factorization.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace fpva::lp {
 
 namespace {
 
-/// Candidate columns examined per Markowitz pivot step before widening to a
-/// full scan; bounds the search without giving up the fill-minimizing pick.
+/// Pass 0 of a Markowitz pivot step ranks the first this-many active
+/// columns (in column order) whose count is within 3 of the minimum; every
+/// active column is ranked only when none of them holds a stable pivot.
 constexpr int kPivotCandidateCap = 64;
+constexpr int kWordBits = 64;
+
+/// Value of working-matrix row (cols, vals) in column `col`, 0 if absent.
+double row_entry(const std::vector<int>& cols, const std::vector<double>& vals,
+                 int col) {
+  for (std::size_t s = 0; s < cols.size(); ++s) {
+    if (cols[s] == col) return vals[s];
+  }
+  return 0.0;
+}
+
+/// Incremental Markowitz pivot search over the elimination's working
+/// matrix. Active columns are filed in one bitset per column count, so the
+/// minimum count is the first non-empty bucket and the pass-0 candidates
+/// pop out in column order. Each column's best pivot is cached until the
+/// elimination touches the column (its count, a value or a row count in
+/// it changed). Lives for one factorize() call.
+class PivotSearch {
+ public:
+  PivotSearch(const std::vector<std::vector<int>>& row_cols,
+              const std::vector<std::vector<double>>& row_vals,
+              const std::vector<std::vector<int>>& col_rows,
+              const LuFactorization::Options& options)
+      : row_cols_(row_cols),
+        row_vals_(row_vals),
+        col_rows_(col_rows),
+        options_(options),
+        words_((col_rows.size() + kWordBits - 1) / kWordBits),
+        best_(col_rows.size()),
+        stale_(col_rows.size(), 1) {
+    for (std::size_t j = 0; j < col_rows.size(); ++j) {
+      move(static_cast<int>(j), -1, static_cast<int>(col_rows[j].size()));
+    }
+  }
+
+  /// The column's cached best pivot is out of date.
+  void touch(int col) { stale_[static_cast<std::size_t>(col)] = 1; }
+
+  /// Moves `col` from count bucket `from` to `to` (-1: not filed).
+  void move(int col, int from, int to) {
+    const auto word = static_cast<std::size_t>(col / kWordBits);
+    const std::uint64_t bit = std::uint64_t{1} << (col % kWordBits);
+    if (from >= 0) {
+      --size_[static_cast<std::size_t>(from)];
+      bits_[static_cast<std::size_t>(from) * words_ + word] &= ~bit;
+    }
+    if (to >= 0) {
+      const auto ts = static_cast<std::size_t>(to);
+      if (ts >= size_.size()) {
+        size_.resize(ts + 1, 0);
+        bits_.resize((ts + 1) * words_, 0);
+      }
+      ++size_[ts];
+      bits_[ts * words_ + word] |= bit;
+    }
+  }
+
+  /// Markowitz cost (r-1)*(c-1), ties to the larger pivot, then the lower
+  /// column, then the lower row. False when the active part is singular.
+  bool select(int* pivot_row, int* pivot_col) {
+    // An empty active column (bucket 0) is structurally singular.
+    const std::size_t buckets = size_.size();
+    std::size_t min_count = 0;
+    while (min_count < buckets && size_[min_count] == 0) ++min_count;
+    if (min_count == 0 || min_count == buckets) return false;
+
+    // Columns are ranked in ascending order, so keeping the first of equal
+    // (cost, mag) picks settles the column tie-break.
+    const Best* best = nullptr;
+    const auto rank = [&](int col) {
+      const Best& candidate = column_best(col);
+      if (candidate.row < 0) return;
+      if (best == nullptr || candidate.cost < best->cost ||
+          (candidate.cost == best->cost && candidate.mag > best->mag)) {
+        best = &candidate;
+        *pivot_col = col;
+      }
+    };
+    // Ranks the first `cap` columns, in column order, of buckets
+    // min_count..last.
+    const auto scan = [&](std::size_t last, int cap) {
+      int taken = 0;
+      for (std::size_t w = 0; w < words_ && taken < cap; ++w) {
+        std::uint64_t word = 0;
+        for (std::size_t c = min_count; c <= last; ++c) {
+          word |= bits_[c * words_ + w];
+        }
+        for (; word != 0 && taken < cap; word &= word - 1, ++taken) {
+          rank(static_cast<int>(w) * kWordBits + std::countr_zero(word));
+        }
+      }
+    };
+    scan(std::min(min_count + 3, buckets - 1), kPivotCandidateCap);
+    // Nothing stable among those candidates: rank every active column.
+    if (best == nullptr) scan(buckets - 1, std::numeric_limits<int>::max());
+    if (best == nullptr) return false;
+    *pivot_row = best->row;
+    return true;
+  }
+
+ private:
+  struct Best {
+    long long cost = 0;  ///< Markowitz cost (r-1)(c-1)
+    double mag = 0.0;    ///< |pivot|
+    int row = -1;        ///< -1 when the column holds no stable pivot
+  };
+
+  /// The column's best pivot under threshold partial pivoting (a pivot
+  /// must reach pivot_tolerance of its column max); ties prefer the larger
+  /// pivot, then the lower row. Recomputed only when the column is stale.
+  const Best& column_best(int col) {
+    const auto js = static_cast<std::size_t>(col);
+    Best& best = best_[js];
+    if (!stale_[js]) return best;
+    stale_[js] = 0;
+    best = Best{};
+    const auto& rows = col_rows_[js];
+    vals_.resize(rows.size());
+    double col_max = 0.0;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const auto is = static_cast<std::size_t>(rows[k]);
+      vals_[k] = row_entry(row_cols_[is], row_vals_[is], col);
+      col_max = std::max(col_max, std::abs(vals_[k]));
+    }
+    if (col_max <= options_.singular_tolerance) return best;
+    const double acceptable = options_.pivot_tolerance * col_max;
+    const long long col_cost = static_cast<long long>(rows.size()) - 1;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const double mag = std::abs(vals_[k]);
+      if (mag < acceptable || mag <= options_.singular_tolerance) continue;
+      const int i = rows[k];
+      const long long cost =
+          (static_cast<long long>(
+               row_cols_[static_cast<std::size_t>(i)].size()) -
+           1) *
+          col_cost;
+      if (best.row < 0 || cost < best.cost ||
+          (cost == best.cost &&
+           (mag > best.mag || (mag == best.mag && i < best.row)))) {
+        best = {cost, mag, i};
+      }
+    }
+    return best;
+  }
+
+  const std::vector<std::vector<int>>& row_cols_;
+  const std::vector<std::vector<double>>& row_vals_;
+  const std::vector<std::vector<int>>& col_rows_;
+  const LuFactorization::Options& options_;
+  std::size_t words_;                ///< 64-bit words per bucket
+  std::vector<std::uint64_t> bits_;  ///< bucket c: words [c*words_, +words_)
+  std::vector<int> size_;            ///< active columns per count
+  std::vector<Best> best_;
+  std::vector<char> stale_;
+  std::vector<double> vals_;  ///< column_best() value scratch
+};
 
 }  // namespace
 
@@ -44,84 +203,6 @@ void LuFactorization::clear_factor() {
   factor_nnz_ = 0;
 }
 
-double LuFactorization::w_entry(int row, int col) const {
-  const auto& cols = w_row_cols_[static_cast<std::size_t>(row)];
-  for (std::size_t s = 0; s < cols.size(); ++s) {
-    if (cols[s] == col) {
-      return w_row_vals_[static_cast<std::size_t>(row)][s];
-    }
-  }
-  return 0.0;
-}
-
-bool LuFactorization::select_pivot(int* pivot_row, int* pivot_col) const {
-  // Two passes: first over columns whose count is within 3 of the minimum
-  // (capped), then — only if nothing stable was found — over every active
-  // column. Markowitz cost (r-1)*(c-1) with threshold partial pivoting;
-  // ties prefer the larger pivot, then the lower column and row index, so
-  // the factorization is deterministic.
-  int min_count = std::numeric_limits<int>::max();
-  for (int j = 0; j < m_; ++j) {
-    if (!w_col_active_[static_cast<std::size_t>(j)]) continue;
-    const int count =
-        static_cast<int>(w_col_rows_[static_cast<std::size_t>(j)].size());
-    if (count == 0) return false;  // structurally singular
-    min_count = std::min(min_count, count);
-  }
-  if (min_count == std::numeric_limits<int>::max()) return false;
-
-  for (int pass = 0; pass < 2; ++pass) {
-    const int count_cap =
-        pass == 0 ? min_count + 3 : std::numeric_limits<int>::max();
-    long long best_cost = std::numeric_limits<long long>::max();
-    double best_mag = 0.0;
-    int best_row = -1, best_col = -1;
-    int scanned = 0;
-    for (int j = 0; j < m_ && (pass == 1 || scanned < kPivotCandidateCap);
-         ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (!w_col_active_[js]) continue;
-      const auto& rows = w_col_rows_[js];
-      const int col_count = static_cast<int>(rows.size());
-      if (col_count > count_cap) continue;
-      ++scanned;
-      double col_max = 0.0;
-      for (const int i : rows) {
-        col_max = std::max(col_max, std::abs(w_entry(i, j)));
-      }
-      if (col_max <= options_.singular_tolerance) continue;
-      const double acceptable = options_.pivot_tolerance * col_max;
-      for (const int i : rows) {
-        const double v = w_entry(i, j);
-        const double mag = std::abs(v);
-        if (mag < acceptable || mag <= options_.singular_tolerance) continue;
-        const int row_count =
-            static_cast<int>(w_row_cols_[static_cast<std::size_t>(i)].size());
-        const long long cost = static_cast<long long>(row_count - 1) *
-                               static_cast<long long>(col_count - 1);
-        const bool better =
-            cost < best_cost ||
-            (cost == best_cost &&
-             (mag > best_mag ||
-              (mag == best_mag &&
-               (j < best_col || (j == best_col && i < best_row)))));
-        if (better) {
-          best_cost = cost;
-          best_mag = mag;
-          best_row = i;
-          best_col = j;
-        }
-      }
-    }
-    if (best_row >= 0) {
-      *pivot_row = best_row;
-      *pivot_col = best_col;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) {
   m_ = m;
   valid_ = false;
@@ -131,9 +212,7 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
   // Load the working matrix row-wise with a column-pattern transpose.
   w_row_cols_.assign(ms, {});
   w_row_vals_.assign(ms, {});
-  w_col_rows_.assign(ms, {});
-  w_row_active_.assign(ms, 1);
-  w_col_active_.assign(ms, 1);
+  std::vector<std::vector<int>> w_col_rows(ms);
   for (int p = 0; p < m; ++p) {
     const BasisColumn& column = columns[static_cast<std::size_t>(p)];
     for (int k = 0; k < column.size; ++k) {
@@ -142,17 +221,18 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
       if (value == 0.0) continue;
       w_row_cols_[static_cast<std::size_t>(row)].push_back(p);
       w_row_vals_[static_cast<std::size_t>(row)].push_back(value);
-      w_col_rows_[static_cast<std::size_t>(p)].push_back(row);
+      w_col_rows[static_cast<std::size_t>(p)].push_back(row);
     }
   }
+  PivotSearch search(w_row_cols_, w_row_vals_, w_col_rows, options_);
 
   std::vector<int> targets;  // col-pattern copy (patterns mutate below)
   for (int step = 0; step < m; ++step) {
     int pivot_row = -1, pivot_col = -1;
-    if (!select_pivot(&pivot_row, &pivot_col)) return false;
+    if (!search.select(&pivot_row, &pivot_col)) return false;
     const auto rs = static_cast<std::size_t>(pivot_row);
     const auto cs = static_cast<std::size_t>(pivot_col);
-    const double pivot = w_entry(pivot_row, pivot_col);
+    const double pivot = row_entry(w_row_cols_[rs], w_row_vals_[rs], pivot_col);
 
     row_of_order_[static_cast<std::size_t>(step)] = pivot_row;
     col_of_order_[static_cast<std::size_t>(step)] = pivot_col;
@@ -170,7 +250,7 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
     }
 
     targets.clear();
-    for (const int i : w_col_rows_[cs]) {
+    for (const int i : w_col_rows[cs]) {
       if (i != pivot_row) targets.push_back(i);
     }
     std::sort(targets.begin(), targets.end());
@@ -178,7 +258,8 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
     const int l_start = static_cast<int>(l_rows_.size());
     for (const int i : targets) {
       const auto is = static_cast<std::size_t>(i);
-      const double mult = w_entry(i, pivot_col) / pivot;
+      const double mult =
+          row_entry(w_row_cols_[is], w_row_vals_[is], pivot_col) / pivot;
       if (std::abs(mult) > options_.drop_tolerance) {
         l_rows_.push_back(i);
         l_vals_.push_back(mult);
@@ -199,18 +280,24 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
           } else if (std::abs(delta) > options_.drop_tolerance) {
             w_row_cols_[is].push_back(c2);
             w_row_vals_[is].push_back(-delta);
-            w_col_rows_[c2s].push_back(i);
+            const int count = static_cast<int>(w_col_rows[c2s].size());
+            search.move(c2, count, count + 1);
+            w_col_rows[c2s].push_back(i);
           }
         }
       }
       // Compress row i: drop the pivot-column entry and anything tiny.
+      // Row i's count or values changed, so every column in it is stale.
       std::size_t out = 0;
       for (std::size_t s = 0; s < w_row_cols_[is].size(); ++s) {
         const int c2 = w_row_cols_[is][s];
         const double v = w_row_vals_[is][s];
         if (c2 == pivot_col) continue;  // col pattern cleared wholesale below
+        search.touch(c2);
         if (std::abs(v) <= options_.drop_tolerance) {
-          auto& rows = w_col_rows_[static_cast<std::size_t>(c2)];
+          auto& rows = w_col_rows[static_cast<std::size_t>(c2)];
+          const int count = static_cast<int>(rows.size());
+          search.move(c2, count, count - 1);
           rows.erase(std::find(rows.begin(), rows.end(), i));
           continue;
         }
@@ -226,12 +313,16 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
           {pivot_row, l_start, static_cast<int>(l_rows_.size())});
     }
 
-    // Freeze the pivot row: its remaining entries become U row pivot_row.
+    // Freeze the pivot row: its remaining entries become U row pivot_row,
+    // and each of their columns loses an entry.
     std::size_t out = 0;
     for (std::size_t s = 0; s < w_row_cols_[rs].size(); ++s) {
       const int c2 = w_row_cols_[rs][s];
       if (c2 == pivot_col) continue;
-      auto& rows = w_col_rows_[static_cast<std::size_t>(c2)];
+      search.touch(c2);
+      auto& rows = w_col_rows[static_cast<std::size_t>(c2)];
+      const int count = static_cast<int>(rows.size());
+      search.move(c2, count, count - 1);
       rows.erase(std::find(rows.begin(), rows.end(), pivot_row));
       w_row_cols_[rs][out] = c2;
       w_row_vals_[rs][out] = w_row_vals_[rs][s];
@@ -239,9 +330,8 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
     }
     w_row_cols_[rs].resize(out);
     w_row_vals_[rs].resize(out);
-    w_col_rows_[cs].clear();
-    w_row_active_[rs] = 0;
-    w_col_active_[cs] = 0;
+    search.move(pivot_col, static_cast<int>(w_col_rows[cs].size()), -1);
+    w_col_rows[cs].clear();
   }
 
   // The frozen rows are exactly U; steal their storage.

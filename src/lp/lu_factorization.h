@@ -95,6 +95,13 @@ class LuFactorization {
   /// True when the update/fill policy says a fresh factorization pays off.
   bool needs_refactor() const;
 
+  /// Pivot order: step k pivoted on row pivot_rows()[k] and basis
+  /// position pivot_cols()[k]. Right after factorize() this is the
+  /// elimination order (-1 past the step a singular basis stopped at);
+  /// update() and add_row() then rotate and extend it.
+  const std::vector<int>& pivot_rows() const { return row_of_order_; }
+  const std::vector<int>& pivot_cols() const { return col_of_order_; }
+
   int updates_since_factor() const { return updates_; }
   long fill() const { return nnz_; }
   long factor_fill() const { return factor_nnz_; }
@@ -150,11 +157,9 @@ class LuFactorization {
   mutable std::vector<int> spike_rows_;
   mutable bool spike_valid_ = false;
 
-  // Factorization working matrix (members to reuse allocations).
+  // Factorization working rows (members to reuse allocations).
   std::vector<std::vector<int>> w_row_cols_;
   std::vector<std::vector<double>> w_row_vals_;
-  std::vector<std::vector<int>> w_col_rows_;
-  std::vector<char> w_row_active_, w_col_active_;
 
   mutable std::vector<double> work_;   ///< ftran/btran solve scratch
   mutable std::vector<double> work2_;  ///< second solve scratch
@@ -163,9 +168,6 @@ class LuFactorization {
   int epoch_ = 0;
   std::vector<int> pos_, pos_stamp_;   ///< row-slot index scratch
   int pos_epoch_ = 0;
-
-  bool select_pivot(int* pivot_row, int* pivot_col) const;
-  double w_entry(int row, int col) const;
 };
 
 }  // namespace fpva::lp

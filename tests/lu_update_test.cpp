@@ -12,15 +12,24 @@
 // agree across all three implementations. Singular and near-singular bases
 // must be reported, not crash.
 //
+// A third check pins the Markowitz pivot order itself: seeded slack-heavy
+// bases up to m = 400 are factorized against an in-test reference that
+// replays the full-scan pivot rule, and the (row, column) pivot sequences
+// and factor fill must match exactly.
+//
 // Every randomized case logs its seed on failure, so a CI hit reproduces
 // with:  FPVA_LU_FUZZ_SEEDS=<seed> ./lu_update_test
 // The seeded sweep also reads tests/lu_fuzz_seeds.txt through the
 // FPVA_LU_SEED_FILE environment variable (the CI fuzz step does this).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -471,6 +480,24 @@ TEST(LuFactorizationTest, NearSingularBasisIsReported) {
   EXPECT_FALSE(lu.factorize(3, columns));
 }
 
+TEST(LuFactorizationTest, EmptyColumnPastTheFirstIsReported) {
+  // Column 2 is empty while columns 0, 1 and 3 hold fine pivots: the
+  // factorization must stop before its first pivot, not after eliminating
+  // the columns in front of the empty one.
+  DenseOracle matrix(4);
+  matrix.at(0, 0) = 1.0;
+  matrix.at(1, 1) = 2.0;
+  matrix.at(2, 3) = 3.0;
+  matrix.at(3, 3) = 1.0;
+  std::vector<int> rows, starts;
+  std::vector<double> values;
+  const auto columns = gather_columns(matrix, rows, values, starts);
+  LuFactorization lu;
+  EXPECT_FALSE(lu.factorize(4, columns));
+  EXPECT_FALSE(lu.valid());
+  EXPECT_EQ(lu.pivot_rows(), std::vector<int>(4, -1));
+}
+
 TEST(LuFactorizationTest, SingularUpdateIsRejected) {
   // Replacing column 1 with a copy of column 0 makes the basis singular;
   // the update must refuse and invalidate rather than corrupt.
@@ -492,6 +519,340 @@ TEST(LuFactorizationTest, SingularUpdateIsRejected) {
   lu.ftran(alpha, /*save_spike=*/true);
   EXPECT_FALSE(lu.update(1, alpha[1]));
   EXPECT_FALSE(lu.valid());
+}
+
+// ------------------------------------------------- pivot-order reference
+
+/// A sparse basis as per-position row/value lists (row indices unique per
+/// column, zeros never stored).
+struct SparseBasis {
+  int m = 0;
+  std::vector<std::vector<int>> rows;
+  std::vector<std::vector<double>> values;
+
+  explicit SparseBasis(int dimension)
+      : m(dimension),
+        rows(static_cast<std::size_t>(dimension)),
+        values(static_cast<std::size_t>(dimension)) {}
+
+  void set(int row, int col, double value) {
+    auto& col_rows = rows[static_cast<std::size_t>(col)];
+    auto& col_values = values[static_cast<std::size_t>(col)];
+    for (std::size_t k = 0; k < col_rows.size(); ++k) {
+      if (col_rows[k] == row) {
+        col_values[k] = value;
+        return;
+      }
+    }
+    col_rows.push_back(row);
+    col_values.push_back(value);
+  }
+
+  std::vector<BasisColumn> views() const {
+    std::vector<BasisColumn> columns(static_cast<std::size_t>(m));
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      columns[c] = {rows[c].data(), values[c].data(),
+                    static_cast<int>(rows[c].size())};
+    }
+    return columns;
+  }
+};
+
+/// What the reference elimination saw, so the seeded families can assert
+/// they reach every branch of the pivot rule.
+struct PivotRuleCoverage {
+  int capped_steps = 0;     ///< more than 64 columns within min+3
+  int fallback_steps = 0;   ///< no stable pass-0 candidate: full pass
+  int fill_entries = 0;     ///< fill-ins, each moving a column up a count
+  int empty_column = 0;     ///< stopped on an empty active column
+
+  void add(const PivotRuleCoverage& other) {
+    capped_steps += other.capped_steps;
+    fallback_steps += other.fallback_steps;
+    fill_entries += other.fill_entries;
+    empty_column += other.empty_column;
+  }
+};
+
+struct ReferenceFactor {
+  bool ok = false;
+  std::vector<int> pivot_rows, pivot_cols;
+  long fill = 0;  ///< LuFactorization::factor_fill() of the same basis
+  PivotRuleCoverage coverage;
+};
+
+/// Markowitz elimination by the full-scan pivot rule — every step rescans
+/// all active columns for the minimum count, ranks the first 64 columns
+/// (column order) within min+3 by (r-1)(c-1), then larger |pivot|, then
+/// lower column, then lower row, and ranks every active column only when
+/// none of those holds a pivot passing the threshold test. Same drop rules
+/// and arithmetic as the production elimination, on ordered maps.
+ReferenceFactor reference_factorize(const SparseBasis& basis,
+                                    const LuFactorization::Options& options) {
+  const int m = basis.m;
+  const auto ms = static_cast<std::size_t>(m);
+  std::vector<std::map<int, double>> row_entries(ms);
+  std::vector<std::set<int>> col_rows(ms);
+  for (int c = 0; c < m; ++c) {
+    const auto cs = static_cast<std::size_t>(c);
+    for (std::size_t k = 0; k < basis.rows[cs].size(); ++k) {
+      if (basis.values[cs][k] == 0.0) continue;
+      row_entries[static_cast<std::size_t>(basis.rows[cs][k])][c] =
+          basis.values[cs][k];
+      col_rows[cs].insert(basis.rows[cs][k]);
+    }
+  }
+  std::vector<char> col_active(ms, 1);
+  ReferenceFactor out;
+  out.pivot_rows.assign(ms, -1);
+  out.pivot_cols.assign(ms, -1);
+  out.fill = m;
+
+  for (int step = 0; step < m; ++step) {
+    int min_count = std::numeric_limits<int>::max();
+    bool empty = false;
+    for (int j = 0; j < m; ++j) {
+      if (!col_active[static_cast<std::size_t>(j)]) continue;
+      const int count =
+          static_cast<int>(col_rows[static_cast<std::size_t>(j)].size());
+      empty = empty || count == 0;
+      min_count = std::min(min_count, count);
+    }
+    if (empty) {
+      ++out.coverage.empty_column;
+      return out;
+    }
+    int eligible = 0;
+    for (int j = 0; j < m; ++j) {
+      if (col_active[static_cast<std::size_t>(j)] &&
+          static_cast<int>(col_rows[static_cast<std::size_t>(j)].size()) <=
+              min_count + 3) {
+        ++eligible;
+      }
+    }
+    if (eligible > 64) ++out.coverage.capped_steps;
+
+    int pivot_row = -1, pivot_col = -1;
+    for (int pass = 0; pass < 2 && pivot_row < 0; ++pass) {
+      if (pass == 1) ++out.coverage.fallback_steps;
+      const int count_cap =
+          pass == 0 ? min_count + 3 : std::numeric_limits<int>::max();
+      long long best_cost = std::numeric_limits<long long>::max();
+      double best_mag = 0.0;
+      int scanned = 0;
+      for (int j = 0; j < m && (pass == 1 || scanned < 64); ++j) {
+        const auto js = static_cast<std::size_t>(j);
+        if (!col_active[js]) continue;
+        const int col_count = static_cast<int>(col_rows[js].size());
+        if (col_count > count_cap) continue;
+        ++scanned;
+        double col_max = 0.0;
+        for (const int i : col_rows[js]) {
+          col_max = std::max(
+              col_max, std::abs(row_entries[static_cast<std::size_t>(i)].at(j)));
+        }
+        if (col_max <= options.singular_tolerance) continue;
+        const double acceptable = options.pivot_tolerance * col_max;
+        for (const int i : col_rows[js]) {
+          const double mag =
+              std::abs(row_entries[static_cast<std::size_t>(i)].at(j));
+          if (mag < acceptable || mag <= options.singular_tolerance) continue;
+          const long long cost =
+              static_cast<long long>(
+                  row_entries[static_cast<std::size_t>(i)].size() - 1) *
+              static_cast<long long>(col_count - 1);
+          if (cost < best_cost ||
+              (cost == best_cost &&
+               (mag > best_mag ||
+                (mag == best_mag &&
+                 (j < pivot_col || (j == pivot_col && i < pivot_row)))))) {
+            best_cost = cost;
+            best_mag = mag;
+            pivot_row = i;
+            pivot_col = j;
+          }
+        }
+      }
+    }
+    if (pivot_row < 0) return out;
+    out.pivot_rows[static_cast<std::size_t>(step)] = pivot_row;
+    out.pivot_cols[static_cast<std::size_t>(step)] = pivot_col;
+
+    auto& prow = row_entries[static_cast<std::size_t>(pivot_row)];
+    const double pivot = prow.at(pivot_col);
+    std::vector<int> targets;
+    for (const int i : col_rows[static_cast<std::size_t>(pivot_col)]) {
+      if (i != pivot_row) targets.push_back(i);
+    }
+    for (const int i : targets) {
+      auto& row = row_entries[static_cast<std::size_t>(i)];
+      const double mult = row.at(pivot_col) / pivot;
+      if (std::abs(mult) > options.drop_tolerance) {
+        ++out.fill;  // one L entry
+        for (const auto& [c2, v] : prow) {
+          if (c2 == pivot_col) continue;
+          const double delta = mult * v;
+          const auto it = row.find(c2);
+          if (it != row.end()) {
+            it->second -= delta;
+          } else if (std::abs(delta) > options.drop_tolerance) {
+            row[c2] = -delta;
+            col_rows[static_cast<std::size_t>(c2)].insert(i);
+            ++out.coverage.fill_entries;
+          }
+        }
+      }
+      row.erase(pivot_col);
+      for (auto it = row.begin(); it != row.end();) {
+        if (std::abs(it->second) <= options.drop_tolerance) {
+          col_rows[static_cast<std::size_t>(it->first)].erase(i);
+          it = row.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (const auto& [c2, v] : prow) {
+      if (c2 == pivot_col) continue;
+      col_rows[static_cast<std::size_t>(c2)].erase(pivot_row);
+      ++out.fill;  // one U entry
+    }
+    col_rows[static_cast<std::size_t>(pivot_col)].clear();
+    col_active[static_cast<std::size_t>(pivot_col)] = 0;
+  }
+  out.ok = true;
+  return out;
+}
+
+/// Factorizes `basis` both ways and requires the same outcome, the same
+/// (row, column) pivot sequence — including the step a singular basis
+/// stops at — and the same factor fill.
+PivotRuleCoverage expect_same_pivots(const SparseBasis& basis,
+                                     std::uint64_t seed) {
+  const LuFactorization::Options options;
+  const ReferenceFactor want = reference_factorize(basis, options);
+  LuFactorization lu(options);
+  const bool ok = lu.factorize(basis.m, basis.views());
+  EXPECT_EQ(ok, want.ok) << "seed=" << seed << " m=" << basis.m;
+  EXPECT_EQ(lu.pivot_rows(), want.pivot_rows)
+      << "pivot rows differ (seed=" << seed << " m=" << basis.m << ")";
+  EXPECT_EQ(lu.pivot_cols(), want.pivot_cols)
+      << "pivot columns differ (seed=" << seed << " m=" << basis.m << ")";
+  if (ok && want.ok) {
+    EXPECT_EQ(lu.factor_fill(), want.fill)
+        << "seed=" << seed << " m=" << basis.m;
+  }
+  return want.coverage;
+}
+
+/// Seeded slack-heavy sparse basis, m in [64, 400]: mostly unit (slack or
+/// artificial) columns plus structural columns of 2-8 entries, in random
+/// column order. Per seed it may use all-±1 values (cost and magnitude
+/// ties everywhere), duplicate a structural column (a column that empties
+/// during elimination) or leave one column empty.
+SparseBasis random_slack_heavy_basis(std::uint64_t seed) {
+  common::Rng rng(seed);
+  const int m = 64 + static_cast<int>(rng.next_below(337));
+  const double slack_share = 0.5 + 0.4 * rng.next_double();
+  const bool unit_values = rng.next_bool(0.35);
+  const auto value = [&rng, unit_values](double scale) {
+    if (unit_values) return rng.next_bool() ? 1.0 : -1.0;
+    return (rng.next_bool() ? 1.0 : -1.0) * scale *
+           (0.25 + rng.next_double());
+  };
+  std::vector<int> diagonal_row(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) diagonal_row[static_cast<std::size_t>(i)] = i;
+  rng.shuffle(diagonal_row);
+
+  SparseBasis basis(m);
+  for (int c = 0; c < m; ++c) {
+    basis.set(diagonal_row[static_cast<std::size_t>(c)], c, value(2.0));
+    if (rng.next_bool(slack_share)) continue;
+    const int extras = 1 + static_cast<int>(rng.next_below(7));
+    for (int e = 0; e < extras; ++e) {
+      const int r =
+          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+      if (r != diagonal_row[static_cast<std::size_t>(c)]) {
+        basis.set(r, c, value(1.0));
+      }
+    }
+  }
+  if (rng.next_bool(0.15)) {
+    const int from =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+    const int to =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+    if (from != to) {
+      basis.rows[static_cast<std::size_t>(to)] =
+          basis.rows[static_cast<std::size_t>(from)];
+      basis.values[static_cast<std::size_t>(to)] =
+          basis.values[static_cast<std::size_t>(from)];
+    }
+  }
+  if (rng.next_bool(0.1)) {
+    const int col = 1 + static_cast<int>(
+                            rng.next_below(static_cast<std::uint64_t>(m - 1)));
+    basis.rows[static_cast<std::size_t>(col)].clear();
+    basis.values[static_cast<std::size_t>(col)].clear();
+  }
+  return basis;
+}
+
+/// 80 blocks whose pivots need the full pass: every block has a column
+/// holding one 5e-12 entry (below the singularity tolerance), and those
+/// columns come first, so 64 of them fill the whole pass-0 window. The
+/// cheapest pivot then has a 100x multiplier that lifts the tiny column
+/// above the tolerance, and the factorization succeeds. The last block's
+/// pivot is twice as large and sits in a later bitset word than the first
+/// stable column, so the full pass must rank every column to find it.
+///   rows s r c1 c2 c3 x cols t k d1 d2 d3 (t < 80 <= k < 160 <= d):
+///     s: t=5e-12 k=1;  r: k=100 d1=1 d2=1;  c: [[4,1,1],[1,4,1],[1,1,4]]
+SparseBasis pass_one_fallback_basis() {
+  constexpr int kBlocks = 80;
+  SparseBasis basis(5 * kBlocks);
+  for (int b = 0; b < kBlocks; ++b) {
+    const int s = 5 * b, r = s + 1, c1 = s + 2;
+    const int t = b, k = kBlocks + b, d1 = 2 * kBlocks + 3 * b;
+    const double scale = b + 1 == kBlocks ? 2.0 : 1.0;
+    basis.set(s, t, 5e-12);
+    basis.set(s, k, scale);
+    basis.set(r, k, 100.0 * scale);
+    basis.set(r, d1, 1.0);
+    basis.set(r, d1 + 1, 1.0);
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) basis.set(c1 + i, d1 + j, i == j ? 4.0 : 1.0);
+    }
+  }
+  return basis;
+}
+
+void check_pivot_order(std::uint64_t seed, PivotRuleCoverage* coverage) {
+  const PivotRuleCoverage seen =
+      expect_same_pivots(random_slack_heavy_basis(seed), seed);
+  if (coverage != nullptr) coverage->add(seen);
+}
+
+TEST(LuPivotOrderTest, MatchesFullScanRuleOnSlackHeavyBases) {
+  PivotRuleCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    check_pivot_order(seed * 6151 + 17, &coverage);
+  }
+  // The seeded family must reach the branches small bases never do.
+  EXPECT_GT(coverage.capped_steps, 0);
+  EXPECT_GT(coverage.fill_entries, 0);
+  EXPECT_GT(coverage.empty_column, 0);
+}
+
+TEST(LuPivotOrderTest, FallbackPassMatchesFullScanRule) {
+  const SparseBasis basis = pass_one_fallback_basis();
+  const PivotRuleCoverage coverage = expect_same_pivots(basis, 0);
+  EXPECT_GT(coverage.fallback_steps, 0);
+  EXPECT_GT(coverage.capped_steps, 0);
+  LuFactorization lu;
+  ASSERT_TRUE(lu.factorize(basis.m, basis.views()));
+  // The first pivot is the last block's amplifying (s, k) pick.
+  EXPECT_EQ(lu.pivot_rows()[0], 395);
+  EXPECT_EQ(lu.pivot_cols()[0], 159);
 }
 
 // ------------------------------------------------- end-to-end differential
@@ -609,6 +970,7 @@ TEST(LuFuzzTest, SeededSweep) {
     LuFactorization::Options tight;
     tight.max_updates = 2;
     run_basis_walk(seed ^ 0x9e3779b97f4a7c15ULL, tight, true);
+    check_pivot_order(seed, nullptr);
   }
 }
 
