@@ -5,11 +5,14 @@
 // with Google Benchmark so bench/run_benchmarks.sh can record the perf
 // trajectory as BENCH_batch_sim.json alongside BENCH_ilp.json. Trials are
 // kept small: the point is a comparable time series, not a full study.
+// BM_TwoFaultCoverage times the sharded exhaustive stuck-pair audit over
+// the same vector sets.
 #include <benchmark/benchmark.h>
 
 #include "core/generator.h"
 #include "grid/presets.h"
 #include "sim/campaign.h"
+#include "sim/coverage.h"
 
 namespace {
 
@@ -77,5 +80,27 @@ void BM_CampaignParallel(benchmark::State& state) {
   state.counters["detected"] = static_cast<double>(detected);
 }
 BENCHMARK(BM_CampaignParallel)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_TwoFaultCoverage(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const grid::ValveArray array = grid::full_array(n, n);
+  core::GeneratorOptions generator_options;
+  generator_options.hierarchical = true;
+  const auto set = core::generate_test_set(array, generator_options);
+  const sim::Simulator simulator(array);
+  const auto universe = sim::single_stuck_fault_universe(array);
+  long pairs = 0;
+  long detected = 0;
+  for (auto _ : state) {
+    const auto report =
+        sim::two_fault_coverage(simulator, set.vectors, universe);
+    pairs = report.total_pairs;
+    detected = report.detected_pairs;
+    benchmark::DoNotOptimize(detected);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["detected"] = static_cast<double>(detected);
+}
+BENCHMARK(BM_TwoFaultCoverage)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Shared worker-pool plumbing for every parallel layer in the repo.
 //
-// Campaign sharding, concurrent budget-escalation stages and subtree
-// parallelism inside the branch-and-bound all need the same skeleton: N
+// Campaign sharding, concurrent budget-escalation stages, subtree
+// parallelism inside the branch-and-bound, adaptive-diagnosis outcome
+// tables and the two-fault pair audit all need the same skeleton: N
 // workers (the calling thread plus N-1 spawned ones) pulling jobs off a
 // shared atomic counter, with the first exception rethrown on the caller
 // after the join. run_jobs is that skeleton, hoisted out of
@@ -10,7 +11,8 @@
 // Determinism discipline: jobs are claimed in index order and workers
 // write results into per-job slots, so a caller that merges slots in job
 // order gets the same answer for any worker count. Nothing here imposes
-// that — it is a contract the callers uphold (see sim/campaign.cpp).
+// that — it is a contract the callers uphold (see sim/campaign.cpp and
+// sim/coverage.cpp).
 #ifndef FPVA_COMMON_PARALLEL_H
 #define FPVA_COMMON_PARALLEL_H
 

@@ -105,9 +105,11 @@ TwoFaultAudit audit_and_repair_two_faults(
         }
       }
     }
+    // No vector added: `vectors` is unchanged, so a re-audit would
+    // reproduce audit.after exactly.
+    if (!progressed) break;
     audit.after = sim::two_fault_coverage(simulator, vectors, universe,
                                           options.max_undetected_kept);
-    if (!progressed) break;
   }
   return audit;
 }

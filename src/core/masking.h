@@ -31,7 +31,10 @@ struct TwoFaultAudit {
 
 /// Exhaustively audits all stuck-at fault pairs against `vectors`,
 /// appending repair vectors (targeted paths and cuts) for undetected pairs.
-/// Quadratic in valve count; intended for arrays up to roughly 10x10.
+/// The pair count is quadratic in the testable valve count: 1,105,584
+/// pairs on the 20x20 Table-I preset. Each audit pass is sharded across
+/// all cores by sim::two_fault_coverage, and both reports are identical
+/// for any worker count.
 TwoFaultAudit audit_and_repair_two_faults(
     const grid::ValveArray& array, const sim::Simulator& simulator,
     std::vector<sim::TestVector>& vectors,

@@ -1,8 +1,10 @@
 #include "sim/coverage.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "sim/batch.h"
 #include "sim/control_topology.h"
 
@@ -58,33 +60,85 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
                                       std::span<const TestVector> vectors,
                                       std::span<const Fault> universe,
                                       std::size_t max_undetected_kept) {
-  PairCoverageReport report;
-  const BatchSimulator batch(simulator.array());
-  std::vector<FaultScenario> scenarios;
-  const auto flush = [&] {
-    if (scenarios.empty()) return;
-    const auto detected = batch.any_detect_lanes(vectors, scenarios);
-    for (std::size_t lane = 0; lane < scenarios.size(); ++lane) {
-      if ((detected >> lane) & 1) {
-        ++report.detected_pairs;
-      } else if (report.undetected.size() < max_undetected_kept) {
-        report.undetected.emplace_back(scenarios[lane][0],
-                                       scenarios[lane][1]);
+  // Shard the a < b pair triangle into runs of whole outer rows holding
+  // roughly kShardPairs pairs each. Every job fills its own slot, and the
+  // slots merge in job order, so totals and the undetected sample (first
+  // max_undetected_kept pairs in (a, b) order) match a serial sweep for
+  // any worker count.
+  constexpr std::size_t kShardPairs = std::size_t{1} << 14;
+  std::vector<std::size_t> row_begin;
+  std::size_t row_pairs = kShardPairs;
+  for (std::size_t a = 0; a < universe.size(); ++a) {
+    if (row_pairs >= kShardPairs) {
+      row_begin.push_back(a);
+      row_pairs = 0;
+    }
+    row_pairs += universe.size() - 1 - a;
+  }
+  row_begin.push_back(universe.size());
+  const std::size_t job_count = row_begin.size() - 1;
+
+  // Per-worker state is built here on the calling thread, so workers do
+  // not grow malloc arenas of their own. The 64 two-fault scenarios are
+  // overwritten in place, lane by lane.
+  struct Worker {
+    BatchSimulator batch;
+    std::vector<FaultScenario> scenarios;
+  };
+  std::vector<Worker> workers;
+  const int worker_count = common::plan_workers(0, job_count);
+  workers.reserve(static_cast<std::size_t>(worker_count));
+  for (int w = 0; w < worker_count; ++w) {
+    workers.push_back({BatchSimulator(simulator.array()),
+                       std::vector<FaultScenario>(BatchSimulator::kLanes,
+                                                  FaultScenario(2))});
+  }
+
+  std::vector<PairCoverageReport> slots(job_count);
+  common::run_jobs(0, job_count, [&](int w, std::size_t job) {
+    Worker& worker = workers[static_cast<std::size_t>(w)];
+    PairCoverageReport& slot = slots[job];
+    std::size_t lanes = 0;
+    const auto flush = [&] {
+      const auto detected = worker.batch.any_detect_lanes(
+          vectors, std::span<const FaultScenario>(worker.scenarios.data(),
+                                                  lanes));
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if ((detected >> lane) & 1) {
+          ++slot.detected_pairs;
+        } else if (slot.undetected.size() < max_undetected_kept) {
+          slot.undetected.emplace_back(worker.scenarios[lane][0],
+                                       worker.scenarios[lane][1]);
+        }
+      }
+      lanes = 0;
+    };
+    for (std::size_t a = row_begin[job]; a < row_begin[job + 1]; ++a) {
+      for (std::size_t b = a + 1; b < universe.size(); ++b) {
+        // Two faults on the same valve are contradictory (a valve cannot
+        // be both stuck open and stuck closed); skip same-valve pairs.
+        if (universe[a].valve == universe[b].valve) continue;
+        ++slot.total_pairs;
+        worker.scenarios[lanes][0] = universe[a];
+        worker.scenarios[lanes][1] = universe[b];
+        if (++lanes == BatchSimulator::kLanes) flush();
       }
     }
-    scenarios.clear();
-  };
-  for (std::size_t a = 0; a < universe.size(); ++a) {
-    for (std::size_t b = a + 1; b < universe.size(); ++b) {
-      // Two faults on the same valve are contradictory (a valve cannot be
-      // both stuck open and stuck closed); skip same-valve combinations.
-      if (universe[a].valve == universe[b].valve) continue;
-      ++report.total_pairs;
-      scenarios.push_back({universe[a], universe[b]});
-      if (scenarios.size() == BatchSimulator::kLanes) flush();
-    }
+    if (lanes > 0) flush();
+  });
+
+  PairCoverageReport report;
+  for (PairCoverageReport& slot : slots) {
+    report.total_pairs += slot.total_pairs;
+    report.detected_pairs += slot.detected_pairs;
+    const std::size_t keep =
+        std::min(slot.undetected.size(),
+                 max_undetected_kept - report.undetected.size());
+    report.undetected.insert(report.undetected.end(),
+                             slot.undetected.begin(),
+                             slot.undetected.begin() +
+                                 static_cast<std::ptrdiff_t>(keep));
   }
-  flush();
   return report;
 }
 

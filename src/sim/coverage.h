@@ -40,10 +40,13 @@ CoverageReport single_fault_coverage(const Simulator& simulator,
                                      std::span<const TestVector> vectors,
                                      std::span<const Fault> universe);
 
-/// Exhaustive two-fault coverage: every unordered pair of distinct faults
-/// from `universe` is injected together. Quadratic in |universe|; intended
-/// for arrays up to roughly 10x10. Undetected entries list both pair
-/// members consecutively.
+/// Exhaustive two-fault coverage: every unordered pair of faults on
+/// distinct valves from `universe` is injected together. Quadratic in
+/// |universe|. The a < b triangle is sharded into runs of whole rows
+/// (~16k pairs each) that run on every core through common::run_jobs.
+/// Per-job slots merge in job order, so the report is identical for any
+/// worker count: `undetected` holds the first `max_undetected_kept`
+/// escaping pairs in (a, b) order.
 struct PairCoverageReport {
   long total_pairs = 0;
   long detected_pairs = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "core/masking.h"
 #include "grid/builder.h"
 #include "grid/presets.h"
+#include "sim/batch.h"
 #include "sim/coverage.h"
 
 namespace fpva::core {
@@ -29,6 +31,41 @@ std::vector<sim::Fault> audited_stuck_universe(const grid::ValveArray& array) {
     universe.push_back(sim::stuck_at_1(v));
   }
   return universe;
+}
+
+/// Oracle for sim::two_fault_coverage: a serial sweep in which one
+/// BatchSimulator walks the whole a < b triangle in 64-pair batches that
+/// straddle row boundaries, keeping the first `max_undetected_kept`
+/// escaping pairs in (a, b) order.
+sim::PairCoverageReport serial_pair_coverage(
+    const sim::Simulator& simulator, std::span<const sim::TestVector> vectors,
+    std::span<const sim::Fault> universe, std::size_t max_undetected_kept) {
+  sim::PairCoverageReport report;
+  const sim::BatchSimulator batch(simulator.array());
+  std::vector<sim::FaultScenario> scenarios;
+  const auto flush = [&] {
+    if (scenarios.empty()) return;
+    const auto detected = batch.any_detect_lanes(vectors, scenarios);
+    for (std::size_t lane = 0; lane < scenarios.size(); ++lane) {
+      if ((detected >> lane) & 1) {
+        ++report.detected_pairs;
+      } else if (report.undetected.size() < max_undetected_kept) {
+        report.undetected.emplace_back(scenarios[lane][0],
+                                       scenarios[lane][1]);
+      }
+    }
+    scenarios.clear();
+  };
+  for (std::size_t a = 0; a < universe.size(); ++a) {
+    for (std::size_t b = a + 1; b < universe.size(); ++b) {
+      if (universe[a].valve == universe[b].valve) continue;
+      ++report.total_pairs;
+      scenarios.push_back({universe[a], universe[b]});
+      if (scenarios.size() == sim::BatchSimulator::kLanes) flush();
+    }
+  }
+  flush();
+  return report;
 }
 
 std::string render(const std::vector<std::vector<sim::Fault>>& sets) {
@@ -154,6 +191,41 @@ TEST(MaskingCrossCheckTest, SetEnumeratorMatchesScalarPairLoop) {
         << render(undetected) << "enumerator says undetected:\n"
         << render(brute.undetected);
     EXPECT_EQ(brute.undetected, undetected);
+  }
+}
+
+TEST(MaskingCrossCheckTest, ShardedPairAuditMatchesSerialSweep) {
+  // The pair audit is sharded across workers; its report must equal the
+  // serial sweep's at every undetected-sample cap. A paths-only vector set
+  // lets many pairs escape, and both arrays span several shards, so shard
+  // boundaries fall inside the undetected sample.
+  const grid::ValveArray arrays[] = {grid::full_array(8, 8),
+                                     grid::table1_array(10)};
+  GeneratorOptions weak;
+  weak.generate_cut_vectors = false;
+  weak.generate_leak_vectors = false;
+  for (const grid::ValveArray& array : arrays) {
+    const sim::Simulator simulator(array);
+    const auto set = generate_test_set(array, weak);
+    const auto universe = audited_stuck_universe(array);
+    for (const std::size_t kept :
+         {std::size_t{0}, std::size_t{1}, std::size_t{100},
+          std::numeric_limits<std::size_t>::max()}) {
+      const auto expected =
+          serial_pair_coverage(simulator, set.vectors, universe, kept);
+      const auto actual =
+          sim::two_fault_coverage(simulator, set.vectors, universe, kept);
+      EXPECT_GT(expected.total_pairs, 20000) << array.valve_count();
+      EXPECT_LT(expected.detected_pairs, expected.total_pairs);
+      EXPECT_EQ(actual.total_pairs, expected.total_pairs)
+          << array.valve_count() << " valves, kept " << kept;
+      EXPECT_EQ(actual.detected_pairs, expected.detected_pairs)
+          << array.valve_count() << " valves, kept " << kept;
+      EXPECT_EQ(actual.undetected.size(), expected.undetected.size())
+          << array.valve_count() << " valves, kept " << kept;
+      EXPECT_TRUE(actual.undetected == expected.undetected)
+          << array.valve_count() << " valves, kept " << kept;
+    }
   }
 }
 
