@@ -92,9 +92,9 @@ int main(int argc, char** argv) {
     const auto batched = sim::run_campaign(simulator, set.vectors, campaign);
     const double batch_s = timer.seconds();
 
-    const sim::ParallelCampaignRunner runner(array);
+    const sim::CatalogEntry entries[] = {{&array, set.vectors, campaign}};
     timer.reset();
-    const auto parallel = runner.run(set.vectors, campaign);
+    const auto parallel = sim::run_campaign_catalog(entries).front();
     const double par_s = timer.seconds();
 
     bool identical = scalar.rows.size() == batched.rows.size() &&

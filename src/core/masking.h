@@ -32,9 +32,13 @@ struct TwoFaultAudit {
 /// Exhaustively audits all stuck-at fault pairs against `vectors`,
 /// appending repair vectors (targeted paths and cuts) for undetected pairs.
 /// The pair count is quadratic in the testable valve count: 1,105,584
-/// pairs on the 20x20 Table-I preset. Each audit pass is sharded across
-/// all cores by sim::two_fault_coverage, and both reports are identical
-/// for any worker count.
+/// pairs on the 20x20 Table-I preset, 5,803,824 on the 30x30 one. Each
+/// audit pass goes through sim::two_fault_coverage, whose exact screen
+/// decides ~73% of those pairs without a flood and whose residue flood is
+/// sharded across all cores; both reports are identical for any worker
+/// count. On a 4-core Xeon VM (Release) a pass over the hierarchical
+/// (5x5-block) test set takes ~0.10 s on 20x20 and ~0.8 s on 30x30
+/// (0.92 s and 8.5 s when every pair was flooded under every vector).
 TwoFaultAudit audit_and_repair_two_faults(
     const grid::ValveArray& array, const sim::Simulator& simulator,
     std::vector<sim::TestVector>& vectors,

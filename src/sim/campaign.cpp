@@ -332,21 +332,6 @@ CampaignResult run_campaign_scalar(const Simulator& simulator,
   return result;
 }
 
-ParallelCampaignRunner::ParallelCampaignRunner(const grid::ValveArray& array,
-                                               int thread_count)
-    : array_(&array),
-      thread_count_(common::resolve_thread_count(thread_count)) {}
-
-CampaignResult ParallelCampaignRunner::run(
-    std::span<const TestVector> vectors,
-    const CampaignOptions& options) const {
-  const CatalogEntry entry{array_, vectors, options};
-  return std::move(
-      run_campaign_catalog(std::span<const CatalogEntry>(&entry, 1),
-                           thread_count_)
-          .front());
-}
-
 std::vector<CampaignResult> run_campaign_catalog(
     std::span<const CatalogEntry> entries, int thread_count) {
   // Validate everything before any thread spawns so errors surface as

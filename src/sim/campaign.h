@@ -106,31 +106,10 @@ CampaignResult run_campaign(const Simulator& simulator,
 
 /// Reference implementation: one scalar Simulator pass per trial. Kept as
 /// the differential-testing oracle for the batched engine; prefer
-/// run_campaign (or ParallelCampaignRunner) everywhere else.
+/// run_campaign (or run_campaign_catalog, for threads) everywhere else.
 CampaignResult run_campaign_scalar(const Simulator& simulator,
                                    std::span<const TestVector> vectors,
                                    const CampaignOptions& options = {});
-
-/// Shards the campaign's trial range across worker threads (via
-/// common::run_jobs), each worker with its own BatchSimulator. Because
-/// every trial owns its RNG stream and shards are merged in trial order,
-/// the CampaignResult is bit-identical for any thread count (including
-/// the single-threaded run_campaign).
-class ParallelCampaignRunner {
- public:
-  /// `thread_count` 0 means std::thread::hardware_concurrency().
-  explicit ParallelCampaignRunner(const grid::ValveArray& array,
-                                  int thread_count = 0);
-
-  int thread_count() const { return thread_count_; }
-
-  CampaignResult run(std::span<const TestVector> vectors,
-                     const CampaignOptions& options = {}) const;
-
- private:
-  const grid::ValveArray* array_;
-  int thread_count_;
-};
 
 /// One array's campaign inside a catalog run. The array and the vector
 /// span must outlive the run_campaign_catalog call.

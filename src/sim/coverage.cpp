@@ -60,6 +60,9 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
                                       std::span<const TestVector> vectors,
                                       std::span<const Fault> universe,
                                       std::size_t max_undetected_kept) {
+  using LaneMask = BatchSimulator::LaneMask;
+  constexpr std::size_t kLanes = BatchSimulator::kLanes;
+
   // Shard the a < b pair triangle into runs of whole outer rows holding
   // roughly kShardPairs pairs each. Every job fills its own slot, and the
   // slots merge in job order, so totals and the undetected sample (first
@@ -78,31 +81,109 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
   row_begin.push_back(universe.size());
   const std::size_t job_count = row_begin.size() - 1;
 
+  // Vector sets are bitsets of row_words words, bit j = vectors[j];
+  // all_vectors is the full set.
+  const std::size_t row_words = (vectors.size() + kLanes - 1) / kLanes;
+  std::vector<LaneMask> all_vectors(row_words);
+  for (std::size_t x = 0; x < row_words; ++x) {
+    all_vectors[x] = BatchSimulator::active_mask(
+        std::min(kLanes, vectors.size() - x * kLanes));
+  }
+
   // Per-worker state is built here on the calling thread, so workers do
   // not grow malloc arenas of their own. The 64 two-fault scenarios are
-  // overwritten in place, lane by lane.
+  // overwritten in place, lane by lane; `acts` holds each lane's vector
+  // set and `pending` the union over still-undetected lanes.
   struct Worker {
     BatchSimulator batch;
     std::vector<FaultScenario> scenarios;
+    std::vector<LaneMask> acts;
+    std::vector<LaneMask> pending;
   };
   std::vector<Worker> workers;
   const int worker_count = common::plan_workers(0, job_count);
   workers.reserve(static_cast<std::size_t>(worker_count));
   for (int w = 0; w < worker_count; ++w) {
     workers.push_back({BatchSimulator(simulator.array()),
-                       std::vector<FaultScenario>(BatchSimulator::kLanes,
-                                                  FaultScenario(2))});
+                       std::vector<FaultScenario>(kLanes, FaultScenario(2)),
+                       std::vector<LaneMask>(kLanes * row_words),
+                       std::vector<LaneMask>(row_words)});
   }
+
+  // Per-fault rows over the vectors: rows[f] holds D (the vectors that
+  // detect f alone) followed by I (the vectors under which f is inert: a
+  // stuck value equal to the command). Only stuck-at faults get rows, one
+  // 64-fault word per job; the rows are read-only once built.
+  const auto is_stuck = [](const Fault& fault) {
+    return fault.type == FaultType::kStuckAt0 ||
+           fault.type == FaultType::kStuckAt1;
+  };
+  const std::size_t row_stride = 2 * row_words;
+  std::vector<LaneMask> rows(universe.size() * row_stride, 0);
+  std::vector<std::size_t> stuck;
+  std::vector<FaultScenario> singles;
+  for (std::size_t f = 0; f < universe.size(); ++f) {
+    if (!is_stuck(universe[f])) continue;
+    stuck.push_back(f);
+    singles.push_back({universe[f]});
+  }
+  common::run_jobs(
+      worker_count, (stuck.size() + kLanes - 1) / kLanes,
+      [&](int w, std::size_t word) {
+        const BatchSimulator& batch =
+            workers[static_cast<std::size_t>(w)].batch;
+        const std::size_t base = word * kLanes;
+        const std::size_t count = std::min(kLanes, stuck.size() - base);
+        const std::span<const FaultScenario> lanes(singles.data() + base,
+                                                   count);
+        for (std::size_t j = 0; j < vectors.size(); ++j) {
+          const LaneMask bit = LaneMask{1} << (j % kLanes);
+          const LaneMask detected = batch.detect_lanes(vectors[j], lanes);
+          for (std::size_t lane = 0; lane < count; ++lane) {
+            const Fault& fault = universe[stuck[base + lane]];
+            LaneMask* row = rows.data() + stuck[base + lane] * row_stride;
+            if ((detected >> lane) & 1) row[j / kLanes] |= bit;
+            // detect_lanes has checked the arity and the valve ids.
+            const bool open =
+                vectors[j].states[static_cast<std::size_t>(fault.valve)];
+            if (open == (fault.type == FaultType::kStuckAt1)) {
+              row[row_words + j / kLanes] |= bit;
+            }
+          }
+        }
+      });
 
   std::vector<PairCoverageReport> slots(job_count);
   common::run_jobs(0, job_count, [&](int w, std::size_t job) {
     Worker& worker = workers[static_cast<std::size_t>(w)];
     PairCoverageReport& slot = slots[job];
     std::size_t lanes = 0;
+    // Floods the word under the vectors some undetected lane acts under,
+    // in vector order, refreshing that union as lanes are detected.
     const auto flush = [&] {
-      const auto detected = worker.batch.any_detect_lanes(
-          vectors, std::span<const FaultScenario>(worker.scenarios.data(),
-                                                  lanes));
+      const std::span<const FaultScenario> scenarios(worker.scenarios.data(),
+                                                     lanes);
+      LaneMask detected = 0;
+      const auto refresh = [&] {
+        std::fill(worker.pending.begin(), worker.pending.end(), 0);
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          if ((detected >> lane) & 1) continue;
+          for (std::size_t x = 0; x < row_words; ++x) {
+            worker.pending[x] |= worker.acts[lane * row_words + x];
+          }
+        }
+      };
+      refresh();
+      for (std::size_t j = 0; j < vectors.size(); ++j) {
+        if (((worker.pending[j / kLanes] >> (j % kLanes)) & 1) == 0) {
+          continue;
+        }
+        const LaneMask hit =
+            worker.batch.detect_lanes(vectors[j], scenarios) & ~detected;
+        if (hit == 0) continue;
+        detected |= hit;
+        refresh();
+      }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         if ((detected >> lane) & 1) {
           ++slot.detected_pairs;
@@ -114,14 +195,39 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
       lanes = 0;
     };
     for (std::size_t a = row_begin[job]; a < row_begin[job + 1]; ++a) {
+      const LaneMask* row_a = rows.data() + a * row_stride;
       for (std::size_t b = a + 1; b < universe.size(); ++b) {
         // Two faults on the same valve are contradictory (a valve cannot
         // be both stuck open and stuck closed); skip same-valve pairs.
         if (universe[a].valve == universe[b].valve) continue;
         ++slot.total_pairs;
+        LaneMask* acts = worker.acts.data() + lanes * row_words;
+        if (is_stuck(universe[a]) && is_stuck(universe[b])) {
+          // Under a vector where one fault is inert the pair reads as the
+          // other fault alone, so the pair is detected iff D[a] & I[b] or
+          // D[b] & I[a] is nonempty, or a vector where both act detects it.
+          const LaneMask* row_b = rows.data() + b * row_stride;
+          LaneMask screen = 0;
+          LaneMask any_act = 0;
+          for (std::size_t x = 0; x < row_words; ++x) {
+            const LaneMask inert_a = row_a[row_words + x];
+            const LaneMask inert_b = row_b[row_words + x];
+            screen |= (row_a[x] & inert_b) | (row_b[x] & inert_a);
+            acts[x] = ~inert_a & ~inert_b & all_vectors[x];
+            any_act |= acts[x];
+          }
+          if (screen != 0) {
+            ++slot.detected_pairs;
+            ++slot.screened_pairs;
+            continue;
+          }
+          if (any_act == 0) ++slot.screened_pairs;
+        } else {
+          std::copy(all_vectors.begin(), all_vectors.end(), acts);
+        }
         worker.scenarios[lanes][0] = universe[a];
         worker.scenarios[lanes][1] = universe[b];
-        if (++lanes == BatchSimulator::kLanes) flush();
+        if (++lanes == kLanes) flush();
       }
     }
     if (lanes > 0) flush();
@@ -131,6 +237,7 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
   for (PairCoverageReport& slot : slots) {
     report.total_pairs += slot.total_pairs;
     report.detected_pairs += slot.detected_pairs;
+    report.screened_pairs += slot.screened_pairs;
     const std::size_t keep =
         std::min(slot.undetected.size(),
                  max_undetected_kept - report.undetected.size());

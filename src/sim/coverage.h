@@ -42,14 +42,39 @@ CoverageReport single_fault_coverage(const Simulator& simulator,
 
 /// Exhaustive two-fault coverage: every unordered pair of faults on
 /// distinct valves from `universe` is injected together. Quadratic in
-/// |universe|. The a < b triangle is sharded into runs of whole rows
-/// (~16k pairs each) that run on every core through common::run_jobs.
-/// Per-job slots merge in job order, so the report is identical for any
-/// worker count: `undetected` holds the first `max_undetected_kept`
-/// escaping pairs in (a, b) order.
+/// |universe|.
+///
+/// Pairs of stuck-at faults are first decided by an exact screen. A
+/// stuck-at fault is inert under vector v when its stuck value equals v's
+/// command (sa0 on a valve commanded closed, sa1 on one commanded open).
+/// Per fault, D is the set of vectors that detect it alone (one flood per
+/// vector per 64 faults) and I the set under which it is inert (read off
+/// the commands). Under a v where b is inert, {a, b} reads exactly like a
+/// alone, so the pair is detected when (D[a] & I[b]) | (D[b] & I[a]) is
+/// nonempty. Otherwise only vectors in ~I[a] & ~I[b] can detect it: where
+/// exactly one fault is inert the pair reads as the other fault alone,
+/// which the screen found undetected, and where both are inert it reads
+/// fault-free, which would have put v in D[a]. These residue pairs are
+/// flooded 64 to a word, and each word only under the vectors some of its
+/// still-undetected lanes act under. The screen is exact, not a heuristic:
+/// the report is the one a flood of every pair under every vector gives.
+///
+/// Inertness is judged on commands, so it does not carry over to other
+/// fault kinds (a control leak can close a valve an "inert" sa1 re-opens):
+/// any pair that involves a non-stuck-at fault is flooded under every
+/// vector.
+///
+/// The a < b triangle is sharded into runs of whole rows (~16k pairs
+/// each) that run on every core through common::run_jobs. Per-job slots
+/// merge in job order, so the report is identical for any worker count:
+/// `undetected` holds the first `max_undetected_kept` escaping pairs in
+/// (a, b) order.
 struct PairCoverageReport {
   long total_pairs = 0;
   long detected_pairs = 0;
+  /// Pairs decided without a flood: detected by the screen, or left with
+  /// no vector under which both faults act (undetected).
+  long screened_pairs = 0;
   std::vector<std::pair<Fault, Fault>> undetected;
 
   double coverage() const {

@@ -284,9 +284,10 @@ TEST(ParallelCampaignTest, BitIdenticalAcrossThreadCounts) {
   options.include_control_leaks = true;
 
   const auto reference = run_campaign(simulator, vectors, options);
-  for (const int threads : {1, 4, 8}) {
-    const ParallelCampaignRunner runner(array, threads);
-    const auto result = runner.run(vectors, options);
+  const CatalogEntry entries[] = {{&array, vectors, options}};
+  // 0 means std::thread::hardware_concurrency().
+  for (const int threads : {0, 1, 4, 8}) {
+    const auto result = run_campaign_catalog(entries, threads).front();
     ASSERT_EQ(result.rows.size(), reference.rows.size()) << threads;
     for (std::size_t i = 0; i < result.rows.size(); ++i) {
       EXPECT_EQ(result.rows[i].detected, reference.rows[i].detected)
@@ -352,12 +353,6 @@ TEST(ParallelCampaignTest, CatalogMatchesPerArrayRuns) {
   }
 }
 
-TEST(ParallelCampaignTest, DefaultThreadCountIsPositive) {
-  const auto array = grid::full_array(3, 3);
-  const ParallelCampaignRunner runner(array);
-  EXPECT_GE(runner.thread_count(), 1);
-}
-
 TEST(CampaignStopTest, TrippedTokenInterruptsEveryRunner) {
   const auto array = grid::table1_array(5);
   const Simulator simulator(array);
@@ -384,8 +379,8 @@ TEST(CampaignStopTest, TrippedTokenInterruptsEveryRunner) {
   };
   check(run_campaign(simulator, vectors, options), "batched");
   check(run_campaign_scalar(simulator, vectors, options), "scalar");
-  const ParallelCampaignRunner runner(array, 4);
-  check(runner.run(vectors, options), "parallel");
+  const CatalogEntry entries[] = {{&array, vectors, options}};
+  check(run_campaign_catalog(entries, 4).front(), "parallel");
 }
 
 TEST(CampaignStopTest, UntrippedTokenChangesNothing) {

@@ -68,6 +68,77 @@ sim::PairCoverageReport serial_pair_coverage(
   return report;
 }
 
+/// Independent count of the pairs two_fault_coverage decides without a
+/// flood, from scalar single-fault simulation: a fault is inert under a
+/// vector when it leaves every effective valve state as commanded. A pair
+/// of stuck-at faults is decided when one fault is detected alone under a
+/// vector where the other is inert, or when no vector leaves both active.
+long screened_pair_count(const sim::Simulator& simulator,
+                         std::span<const sim::TestVector> vectors,
+                         std::span<const sim::Fault> universe) {
+  const auto stuck = [](const sim::Fault& fault) {
+    return fault.type == sim::FaultType::kStuckAt0 ||
+           fault.type == sim::FaultType::kStuckAt1;
+  };
+  std::vector<std::vector<bool>> detects(universe.size());
+  std::vector<std::vector<bool>> inert(universe.size());
+  for (std::size_t f = 0; f < universe.size(); ++f) {
+    if (!stuck(universe[f])) continue;
+    const sim::Fault single[] = {universe[f]};
+    for (const sim::TestVector& vector : vectors) {
+      detects[f].push_back(simulator.detects(vector, single));
+      inert[f].push_back(simulator.effective_states(vector.states, single) ==
+                         vector.states);
+    }
+  }
+  long screened = 0;
+  for (std::size_t a = 0; a < universe.size(); ++a) {
+    for (std::size_t b = a + 1; b < universe.size(); ++b) {
+      if (universe[a].valve == universe[b].valve) continue;
+      if (!stuck(universe[a]) || !stuck(universe[b])) continue;
+      bool decided = true;
+      for (std::size_t v = 0; v < vectors.size(); ++v) {
+        if ((detects[a][v] && inert[b][v]) ||
+            (detects[b][v] && inert[a][v])) {
+          decided = true;
+          break;
+        }
+        if (!inert[a][v] && !inert[b][v]) decided = false;
+      }
+      if (decided) ++screened;
+    }
+  }
+  return screened;
+}
+
+/// two_fault_coverage must equal the serial sweep at every undetected
+/// sample cap, and screen exactly the pairs the rows decide.
+void expect_matches_serial(const sim::Simulator& simulator,
+                           std::span<const sim::TestVector> vectors,
+                           std::span<const sim::Fault> universe,
+                           const std::string& label) {
+  EXPECT_EQ(sim::two_fault_coverage(simulator, vectors, universe)
+                .screened_pairs,
+            screened_pair_count(simulator, vectors, universe))
+      << label;
+  for (const std::size_t kept :
+       {std::size_t{0}, std::size_t{1}, std::size_t{100},
+        std::numeric_limits<std::size_t>::max()}) {
+    const auto expected =
+        serial_pair_coverage(simulator, vectors, universe, kept);
+    const auto actual =
+        sim::two_fault_coverage(simulator, vectors, universe, kept);
+    EXPECT_EQ(actual.total_pairs, expected.total_pairs)
+        << label << ", kept " << kept;
+    EXPECT_EQ(actual.detected_pairs, expected.detected_pairs)
+        << label << ", kept " << kept;
+    EXPECT_EQ(actual.undetected.size(), expected.undetected.size())
+        << label << ", kept " << kept;
+    EXPECT_TRUE(actual.undetected == expected.undetected)
+        << label << ", kept " << kept;
+  }
+}
+
 std::string render(const std::vector<std::vector<sim::Fault>>& sets) {
   std::ostringstream out;
   for (const auto& faults : sets) out << sim::to_string(faults) << "\n";
@@ -208,24 +279,59 @@ TEST(MaskingCrossCheckTest, ShardedPairAuditMatchesSerialSweep) {
     const sim::Simulator simulator(array);
     const auto set = generate_test_set(array, weak);
     const auto universe = audited_stuck_universe(array);
-    for (const std::size_t kept :
-         {std::size_t{0}, std::size_t{1}, std::size_t{100},
-          std::numeric_limits<std::size_t>::max()}) {
-      const auto expected =
-          serial_pair_coverage(simulator, set.vectors, universe, kept);
-      const auto actual =
-          sim::two_fault_coverage(simulator, set.vectors, universe, kept);
-      EXPECT_GT(expected.total_pairs, 20000) << array.valve_count();
-      EXPECT_LT(expected.detected_pairs, expected.total_pairs);
-      EXPECT_EQ(actual.total_pairs, expected.total_pairs)
-          << array.valve_count() << " valves, kept " << kept;
-      EXPECT_EQ(actual.detected_pairs, expected.detected_pairs)
-          << array.valve_count() << " valves, kept " << kept;
-      EXPECT_EQ(actual.undetected.size(), expected.undetected.size())
-          << array.valve_count() << " valves, kept " << kept;
-      EXPECT_TRUE(actual.undetected == expected.undetected)
-          << array.valve_count() << " valves, kept " << kept;
-    }
+    const auto serial = serial_pair_coverage(simulator, set.vectors,
+                                             universe, 0);
+    EXPECT_GT(serial.total_pairs, 20000) << array.valve_count();
+    EXPECT_LT(serial.detected_pairs, serial.total_pairs);
+    expect_matches_serial(simulator, set.vectors, universe,
+                          std::to_string(array.valve_count()) + " valves");
+  }
+}
+
+TEST(MaskingCrossCheckTest, ScreenedPairAuditMatchesSerialSweep) {
+  // Inputs the stuck-at screen could get wrong. (1) A universe mixing
+  // control leaks into the stuck faults: a leak can close a valve that an
+  // "inert" sa1 re-opens, so leak pairs must be flooded under every
+  // vector. (2) A vector whose expected reading has a sink bit flipped, so
+  // the fault-free reading itself mismatches. (3) A complete hierarchical
+  // set, where the screen decides almost every pair.
+  {
+    const auto array = grid::full_array(6, 6);
+    const sim::Simulator simulator(array);
+    auto universe = audited_stuck_universe(array);
+    const auto leaks = sim::control_leak_universe(array);
+    universe.insert(universe.end(), leaks.begin(), leaks.end());
+    GeneratorOptions weak;
+    weak.generate_cut_vectors = false;
+    weak.generate_leak_vectors = false;
+    expect_matches_serial(simulator, generate_test_set(array).vectors,
+                          universe, "mixed universe, complete set");
+    expect_matches_serial(simulator, generate_test_set(array, weak).vectors,
+                          universe, "mixed universe, paths only");
+  }
+  {
+    const auto array = grid::full_array(6, 6);
+    const sim::Simulator simulator(array);
+    auto vectors = generate_test_set(array).vectors;
+    ASSERT_FALSE(vectors.empty());
+    vectors[vectors.size() / 2].expected[0] =
+        !vectors[vectors.size() / 2].expected[0];
+    expect_matches_serial(simulator, vectors, audited_stuck_universe(array),
+                          "flipped expected bit");
+  }
+  {
+    const auto array = grid::table1_array(10);
+    const sim::Simulator simulator(array);
+    GeneratorOptions options;
+    options.hierarchical = true;
+    const auto set = generate_test_set(array, options);
+    const auto universe = audited_stuck_universe(array);
+    const auto report =
+        sim::two_fault_coverage(simulator, set.vectors, universe);
+    EXPECT_TRUE(report.complete());
+    EXPECT_GT(report.screened_pairs, report.total_pairs / 2);
+    expect_matches_serial(simulator, set.vectors, universe,
+                          "complete hierarchical set");
   }
 }
 
