@@ -51,12 +51,13 @@ void BM_CampaignBatch(benchmark::State& state) {
   core::GeneratorOptions generator_options;
   generator_options.hierarchical = true;
   const auto set = core::generate_test_set(array, generator_options);
-  const sim::Simulator simulator(array);
-  const sim::CampaignOptions campaign = micro_campaign();
+  // One worker: the bit-parallel engine alone, without threads.
+  const sim::CatalogEntry entries[] = {{&array, set.vectors,
+                                         micro_campaign()}};
   long detected = 0;
   for (auto _ : state) {
-    const auto result = sim::run_campaign(simulator, set.vectors, campaign);
-    detected = result.total_detected();
+    const auto results = sim::run_campaign_catalog(entries, 1);
+    detected = results.front().total_detected();
     benchmark::DoNotOptimize(detected);
   }
   state.counters["detected"] = static_cast<double>(detected);
@@ -69,12 +70,12 @@ void BM_CampaignParallel(benchmark::State& state) {
   core::GeneratorOptions generator_options;
   generator_options.hierarchical = true;
   const auto set = core::generate_test_set(array, generator_options);
-  const sim::CatalogEntry entries[] = {{&array, set.vectors,
-                                         micro_campaign()}};
+  const sim::Simulator simulator(array);
+  const sim::CampaignOptions campaign = micro_campaign();
   long detected = 0;
   for (auto _ : state) {
-    const auto results = sim::run_campaign_catalog(entries);
-    detected = results.front().total_detected();
+    const auto result = sim::run_campaign(simulator, set.vectors, campaign);
+    detected = result.total_detected();
     benchmark::DoNotOptimize(detected);
   }
   state.counters["detected"] = static_cast<double>(detected);

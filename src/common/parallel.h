@@ -1,8 +1,9 @@
 // Shared worker-pool plumbing for every parallel layer in the repo.
 //
-// Campaign sharding, concurrent budget-escalation stages, subtree
-// parallelism inside the branch-and-bound, adaptive-diagnosis outcome
-// tables and the two-fault pair audit all need the same skeleton: N
+// Campaign sharding (run_campaign and run_campaign_catalog), concurrent
+// budget-escalation stages, subtree parallelism inside the
+// branch-and-bound, adaptive-diagnosis outcome tables and the two-fault
+// pair audit all need the same skeleton: N
 // workers (the calling thread plus N-1 spawned ones) pulling jobs off a
 // shared atomic counter, with the first exception rethrown on the caller
 // after the join. run_jobs is that skeleton, so there is exactly one

@@ -11,12 +11,18 @@ namespace {
 
 constexpr BatchSimulator::LaneMask kAllLanes = ~0ULL;
 
-constexpr std::array<int, BatchSimulator::kLanes> identity_lanes() {
-  std::array<int, BatchSimulator::kLanes> lanes{};
-  for (int i = 0; i < BatchSimulator::kLanes; ++i) lanes[i] = i;
+/// Per-lane fault lists of one pass, filled front to back.
+using LaneArray = std::array<std::span<const Fault>, BatchSimulator::kLanes>;
+
+LaneArray lanes_of(std::span<const FaultScenario> scenarios) {
+  common::check(scenarios.size() <= BatchSimulator::kLanes,
+                "BatchSimulator: too many scenarios");
+  LaneArray lanes;
+  for (std::size_t lane = 0; lane < scenarios.size(); ++lane) {
+    lanes[lane] = scenarios[lane];
+  }
   return lanes;
 }
-constexpr auto kIdentityLanes = identity_lanes();
 
 }  // namespace
 
@@ -36,12 +42,9 @@ BatchSimulator::LaneMask BatchSimulator::active_mask(std::size_t count) {
 }
 
 void BatchSimulator::resolve_open_lanes(const ValveStates& states,
-                                        std::span<const FaultScenario> pool,
-                                        std::span<const int> lanes) const {
+                                        LaneFaults lanes) const {
   common::check(static_cast<int>(states.size()) == array_->valve_count(),
                 "BatchSimulator: vector arity != valve count");
-  common::check(lanes.size() <= kLanes,
-                "BatchSimulator: too many scenarios");
   // Broadcast the commanded state into every lane. degraded_lanes_ is
   // cleared lazily so scenarios without degraded faults (the common case)
   // never touch it.
@@ -60,8 +63,7 @@ void BatchSimulator::resolve_open_lanes(const ValveStates& states,
   // leaks, then stuck-at-0 forces closed, then stuck-at-1 forces open.
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
     const LaneMask bit = LaneMask{1} << lane;
-    const FaultScenario& scenario =
-        pool[static_cast<std::size_t>(lanes[lane])];
+    const std::span<const Fault> scenario = lanes[lane];
     for (const Fault& fault : scenario) {
       if (fault.type != FaultType::kControlLeak) continue;
       common::check(valid(fault.valve) && valid(fault.partner),
@@ -196,9 +198,8 @@ void BatchSimulator::flood_degraded() const {
 std::vector<BatchSimulator::LaneMask> BatchSimulator::readings(
     const ValveStates& states,
     std::span<const FaultScenario> scenarios) const {
-  resolve_open_lanes(states, scenarios,
-                     std::span<const int>(kIdentityLanes.data(),
-                                          scenarios.size()));
+  const LaneArray lanes = lanes_of(scenarios);
+  resolve_open_lanes(states, LaneFaults(lanes.data(), scenarios.size()));
   flood();
   const std::vector<int>& sink_cells = topology_.sink_cells();
   std::vector<LaneMask> result(sink_cells.size());
@@ -211,17 +212,31 @@ std::vector<BatchSimulator::LaneMask> BatchSimulator::readings(
 BatchSimulator::LaneMask BatchSimulator::detect_lanes(
     const TestVector& vector,
     std::span<const FaultScenario> scenarios) const {
-  return detect_lanes(vector, scenarios,
-                      std::span<const int>(kIdentityLanes.data(),
-                                           scenarios.size()));
+  const LaneArray lanes = lanes_of(scenarios);
+  return detect(vector, LaneFaults(lanes.data(), scenarios.size()));
 }
 
 BatchSimulator::LaneMask BatchSimulator::detect_lanes(
-    const TestVector& vector, std::span<const FaultScenario> pool,
+    const TestVector& vector, std::span<const Fault> pool, int per_scenario,
     std::span<const int> lanes) const {
+  common::check(lanes.size() <= kLanes, "BatchSimulator: too many scenarios");
+  common::check(per_scenario >= 0, "BatchSimulator: negative scenario size");
+  const auto width = static_cast<std::size_t>(per_scenario);
+  LaneArray faults;
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    const auto first = static_cast<std::size_t>(lanes[lane]) * width;
+    common::check(lanes[lane] >= 0 && first + width <= pool.size(),
+                  "BatchSimulator: lane index outside the scenario pool");
+    faults[lane] = pool.subspan(first, width);
+  }
+  return detect(vector, LaneFaults(faults.data(), lanes.size()));
+}
+
+BatchSimulator::LaneMask BatchSimulator::detect(const TestVector& vector,
+                                                LaneFaults lanes) const {
   common::check(static_cast<int>(vector.expected.size()) == sink_count(),
                 "BatchSimulator: vector expected-arity != sink count");
-  resolve_open_lanes(vector.states, pool, lanes);
+  resolve_open_lanes(vector.states, lanes);
   flood();
   const std::vector<int>& sink_cells = topology_.sink_cells();
   LaneMask mismatch = 0;

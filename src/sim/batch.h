@@ -69,12 +69,13 @@ class BatchSimulator {
   LaneMask detect_lanes(const TestVector& vector,
                         std::span<const FaultScenario> scenarios) const;
 
-  /// Gather form of detect_lanes: lane L simulates pool[lanes[L]]. This is
-  /// the fault-dropping workhorse -- callers keep one big scenario pool and
-  /// recompact the indices of still-undetected scenarios into full words as
-  /// earlier vectors drop lanes.
+  /// Strided gather form of detect_lanes: lane L simulates the
+  /// `per_scenario` faults starting at pool[lanes[L] * per_scenario]. This
+  /// is the fault-dropping workhorse -- a campaign shard keeps its
+  /// equal-size trials in one flat pool and recompacts the indices of
+  /// still-undetected trials into full words as earlier vectors drop lanes.
   LaneMask detect_lanes(const TestVector& vector,
-                        std::span<const FaultScenario> pool,
+                        std::span<const Fault> pool, int per_scenario,
                         std::span<const int> lanes) const;
 
   /// Lanes detected by at least one vector. Early-exits once every active
@@ -83,11 +84,15 @@ class BatchSimulator {
                             std::span<const FaultScenario> scenarios) const;
 
  private:
+  /// The faults of each lane of one pass; lane L carries lanes[L].
+  using LaneFaults = std::span<const std::span<const Fault>>;
+
+  /// detect_lanes over per-lane fault lists; both public forms land here.
+  LaneMask detect(const TestVector& vector, LaneFaults lanes) const;
+
   /// Resolves commanded `states` + per-lane faults into open_lanes_ and
-  /// degraded_lanes_; lane L carries pool[lanes[L]]. Sets any_degraded_.
-  void resolve_open_lanes(const ValveStates& states,
-                          std::span<const FaultScenario> pool,
-                          std::span<const int> lanes) const;
+  /// degraded_lanes_. Sets any_degraded_.
+  void resolve_open_lanes(const ValveStates& states, LaneFaults lanes) const;
 
   /// Word-wide flood fill: pressurized_ = fixed point of propagating
   /// source lanes through open_lanes_-gated links. Dispatches to

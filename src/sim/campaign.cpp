@@ -1,7 +1,7 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -98,22 +98,37 @@ std::vector<LeakPair> resolve_leak_pairs(const grid::ValveArray& array,
                                     : options.leak_pairs;
 }
 
-/// Trials per unit of parallel work. Fixed (never derived from the thread
+/// Trials per unit of parallel work. Fixed (never derived from the worker
 /// count) so the shard decomposition -- and with it every undetected-sample
-/// prefix -- is identical no matter how many workers run.
+/// prefix -- is identical no matter how many workers run. A 50,000-trial
+/// row is 13 shards, 65 jobs over fault counts 1-5: enough to balance the
+/// workers of a few-core host.
 constexpr int kShardTrials = 4096;
 
 /// Outcome of one contiguous shard of trials at one fault count.
 struct ShardOutcome {
   int detected = 0;
-  /// Scenarios no vector detected, in trial order.
+  /// The first max_undetected_kept trials no vector detected, in trial
+  /// order; fold_shard never takes more than that from one shard.
   std::vector<FaultScenario> undetected;
   /// False when the shard was abandoned (stop token tripped mid-shard) or
   /// never ran; such outcomes are discarded, never folded.
   bool completed = false;
 };
 
-/// True when `scenario` could possibly change the readings of `vector`:
+/// One worker's shard buffers, reused shard after shard. Every trial of a
+/// shard has exactly k faults, so the drawn sets live in one flat pool:
+/// trial t occupies pool[t * k, (t + 1) * k). The index lists are pool
+/// trial indices in trial order.
+struct ShardScratch {
+  std::vector<Fault> pool;
+  std::vector<int> alive;      // undetected trials
+  std::vector<int> screened;   // alive trials worth flooding, per vector
+  std::vector<int> survivors;  // screened trials still undetected afterward
+  std::vector<int> merged;     // the next alive list
+};
+
+/// True when `faults` could possibly change the readings of `vector`:
 /// an exact monotonicity screen, not a heuristic. Faults that only close
 /// valves shrink the pressurized region, so they can only flip sinks whose
 /// expected reading is 1; faults that only open valves can only flip
@@ -122,10 +137,10 @@ struct ShardOutcome {
 /// undetected, so skipping its flood keeps results bit-identical.
 bool possibly_detectable(const TestVector& vector, bool has_one_expected,
                          bool has_zero_expected,
-                         const FaultScenario& scenario) {
+                         std::span<const Fault> faults) {
   bool closes = false;
   bool opens = false;
-  for (const Fault& fault : scenario) {
+  for (const Fault& fault : faults) {
     const auto valve = static_cast<std::size_t>(fault.valve);
     switch (fault.type) {
       case FaultType::kStuckAt0:
@@ -163,33 +178,36 @@ bool possibly_detectable(const TestVector& vector, bool has_one_expected,
 /// Early vectors detect the bulk of the trials, so later vectors flood only
 /// a few words -- this is where the batched engine beats the scalar path's
 /// per-trial early exit.
-ShardOutcome evaluate_shard(const BatchSimulator& batch,
+ShardOutcome evaluate_shard(const BatchSimulator& batch, ShardScratch& scratch,
                             std::span<const TestVector> vectors,
                             const CampaignOptions& options,
                             std::span<const LeakPair> leak_pairs,
                             int fault_count, int first_trial, int count) {
   ShardOutcome outcome;
   if (options.stop.stop_requested()) return outcome;
-  std::vector<FaultScenario> pool;
-  pool.reserve(static_cast<std::size_t>(count));
+  std::vector<Fault>& pool = scratch.pool;
+  pool.clear();
   for (int t = 0; t < count; ++t) {
     common::Rng rng(
         campaign_trial_seed(options.seed, fault_count, first_trial + t));
-    pool.push_back(draw_fault_set(rng, batch.array(), fault_count,
-                                  leak_pairs,
-                                  options.stuck_at_1_probability,
-                                  options.degraded_probability));
+    const std::vector<Fault> faults = draw_fault_set(
+        rng, batch.array(), fault_count, leak_pairs,
+        options.stuck_at_1_probability, options.degraded_probability);
+    pool.insert(pool.end(), faults.begin(), faults.end());
   }
+  const auto trial_faults = [&](int index) {
+    return std::span<const Fault>(pool).subspan(
+        static_cast<std::size_t>(index) * fault_count,
+        static_cast<std::size_t>(fault_count));
+  };
 
-  // alive holds pool indices of undetected trials, always in trial order.
-  std::vector<int> alive(pool.size());
+  std::vector<int>& alive = scratch.alive;
+  std::vector<int>& screened = scratch.screened;
+  std::vector<int>& survivors = scratch.survivors;
+  alive.resize(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < alive.size(); ++i) {
     alive[i] = static_cast<int>(i);
   }
-  std::vector<int> screened;   // lanes worth flooding, in trial order
-  std::vector<int> survivors;  // lanes still undetected afterward
-  screened.reserve(alive.size());
-  survivors.reserve(alive.size());
   for (const TestVector& vector : vectors) {
     if (alive.empty()) break;
     if (options.stop.stop_requested()) return outcome;  // abandon, don't fold
@@ -201,7 +219,7 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
     screened.clear();
     for (const int index : alive) {
       if (possibly_detectable(vector, has_one, has_zero,
-                              pool[static_cast<std::size_t>(index)])) {
+                              trial_faults(index))) {
         screened.push_back(index);
       }
     }
@@ -212,7 +230,7 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
       const std::size_t lanes = std::min<std::size_t>(
           BatchSimulator::kLanes, screened.size() - chunk);
       const auto detected = batch.detect_lanes(
-          vector, pool,
+          vector, pool, fault_count,
           std::span<const int>(screened.data() + chunk, lanes));
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         if (!((detected >> lane) & 1)) {
@@ -223,8 +241,8 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
     if (survivors.size() == screened.size()) continue;  // nothing dropped
     // alive := (alive \ screened) merged with survivors, preserving trial
     // order; both inputs are sorted.
-    std::vector<int> merged;
-    merged.reserve(alive.size() - screened.size() + survivors.size());
+    std::vector<int>& merged = scratch.merged;
+    merged.clear();
     std::size_t s = 0;  // cursor into screened
     std::size_t u = 0;  // cursor into survivors
     for (const int index : alive) {
@@ -242,10 +260,12 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
   }
 
   outcome.detected = count - static_cast<int>(alive.size());
-  outcome.undetected.reserve(alive.size());
-  for (const int index : alive) {
-    outcome.undetected.push_back(
-        std::move(pool[static_cast<std::size_t>(index)]));
+  const std::size_t kept =
+      std::min(alive.size(), options.max_undetected_kept);
+  outcome.undetected.reserve(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    const std::span<const Fault> faults = trial_faults(alive[i]);
+    outcome.undetected.emplace_back(faults.begin(), faults.end());
   }
   outcome.completed = true;
   return outcome;
@@ -267,33 +287,8 @@ void fold_shard(CampaignRow& row, ShardOutcome&& outcome,
 CampaignResult run_campaign(const Simulator& simulator,
                             std::span<const TestVector> vectors,
                             const CampaignOptions& options) {
-  const grid::ValveArray& array = simulator.array();
-  validate_options(array, options);
-  const std::vector<LeakPair> leak_pairs = resolve_leak_pairs(array, options);
-  const BatchSimulator batch(array);
-
-  CampaignResult result;
-  for (int k = options.min_faults; k <= options.max_faults; ++k) {
-    CampaignRow row;
-    row.fault_count = k;
-    row.set_cardinality = k;
-    for (int first = 0;
-         first < options.trials_per_count && !result.interrupted;
-         first += kShardTrials) {
-      const int count =
-          std::min(kShardTrials, options.trials_per_count - first);
-      ShardOutcome outcome =
-          evaluate_shard(batch, vectors, options, leak_pairs, k, first, count);
-      if (!outcome.completed) {
-        result.interrupted = true;
-        break;
-      }
-      row.trials += count;
-      fold_shard(row, std::move(outcome), options.max_undetected_kept);
-    }
-    result.rows.push_back(std::move(row));
-  }
-  return result;
+  const CatalogEntry entry{&simulator.array(), vectors, options};
+  return std::move(run_campaign_catalog({&entry, 1}, 0).front());
 }
 
 CampaignResult run_campaign_scalar(const Simulator& simulator,
@@ -368,31 +363,53 @@ std::vector<CampaignResult> run_campaign_catalog(
     }
   }
 
-  std::vector<ShardOutcome> outcomes(jobs.size());
-  // Each worker keeps the BatchSimulator of the entry it last touched;
-  // jobs are claimed in index order, so a worker streams through one
-  // array's shards before crossing into the next.
-  struct WorkerCache {
+  // Per-worker state is built and sized here on the calling thread, so
+  // workers do not grow malloc arenas of their own that would stay resident
+  // after they exit. Each worker keeps the BatchSimulator of the entry it
+  // last touched; jobs are claimed in index order, so a worker streams
+  // through one array's shards before crossing into the next, and only a
+  // crossing builds a simulator on the worker.
+  std::size_t most_trials = 0;
+  std::size_t most_faults = 0;
+  for (const Job& job : jobs) {
+    most_trials = std::max(most_trials, static_cast<std::size_t>(job.count));
+    most_faults = std::max(
+        most_faults, static_cast<std::size_t>(job.count) *
+                         static_cast<std::size_t>(job.fault_count));
+  }
+  struct Worker {
     std::size_t entry = 0;
-    std::unique_ptr<BatchSimulator> batch;
+    std::optional<BatchSimulator> batch;
+    ShardScratch scratch;
   };
-  std::vector<WorkerCache> caches(static_cast<std::size_t>(
+  std::vector<Worker> workers(static_cast<std::size_t>(
       common::plan_workers(thread_count, jobs.size())));
+  for (Worker& worker : workers) {
+    if (jobs.empty()) break;
+    worker.entry = jobs.front().entry;
+    worker.batch.emplace(*entries[worker.entry].array);
+    worker.scratch.pool.reserve(most_faults);
+    for (std::vector<int>* list :
+         {&worker.scratch.alive, &worker.scratch.screened,
+          &worker.scratch.survivors, &worker.scratch.merged}) {
+      list->reserve(most_trials);
+    }
+  }
+  std::vector<ShardOutcome> outcomes(jobs.size());
   common::run_jobs(
-      thread_count, jobs.size(), [&](int worker, std::size_t i) {
+      thread_count, jobs.size(), [&](int w, std::size_t i) {
         const Job& job = jobs[i];
         // A tripped token skips the whole shard (its outcome stays
         // incomplete and is never folded); evaluate_shard also polls
         // between vectors to wind down mid-shard.
         if (entries[job.entry].options.stop.stop_requested()) return;
-        WorkerCache& cache = caches[static_cast<std::size_t>(worker)];
-        if (!cache.batch || cache.entry != job.entry) {
-          cache.batch =
-              std::make_unique<BatchSimulator>(*entries[job.entry].array);
-          cache.entry = job.entry;
+        Worker& worker = workers[static_cast<std::size_t>(w)];
+        if (worker.entry != job.entry) {
+          worker.batch.emplace(*entries[job.entry].array);
+          worker.entry = job.entry;
         }
         outcomes[i] = evaluate_shard(
-            *cache.batch, entries[job.entry].vectors,
+            *worker.batch, worker.scratch, entries[job.entry].vectors,
             entries[job.entry].options, leak_pairs[job.entry],
             job.fault_count, job.first_trial, job.count);
       });

@@ -6,9 +6,9 @@
 //
 // Every trial draws its faults from its own counter-based RNG stream
 // (common::stream_seed of CampaignOptions::seed and the trial coordinates),
-// so the scalar oracle, the bit-parallel batched engine, and the
-// multi-threaded runner all see identical fault sets and produce
-// bit-identical CampaignResults regardless of batching or thread count.
+// so the scalar oracle and the sharded bit-parallel engine see identical
+// fault sets and produce bit-identical CampaignResults regardless of
+// batching or worker count.
 #ifndef FPVA_SIM_CAMPAIGN_H
 #define FPVA_SIM_CAMPAIGN_H
 
@@ -71,9 +71,9 @@ struct CampaignRow {
 struct CampaignResult {
   std::vector<CampaignRow> rows;  ///< one per fault count
   /// True when CampaignOptions::stop tripped before every trial ran; rows
-  /// then hold only the shards that completed (a prefix in the serial
-  /// runners, possibly gapped in the threaded ones), with zero-trial rows
-  /// for fault counts never reached.
+  /// then hold only the shards that completed, which may leave gaps (the
+  /// scalar oracle stops at a prefix), with zero-trial rows for fault
+  /// counts never reached.
   bool interrupted = false;
 
   long total_trials() const;
@@ -99,14 +99,15 @@ std::vector<Fault> draw_fault_set(common::Rng& rng,
                                   double degraded_probability = 0.0);
 
 /// Runs the campaign through the bit-parallel BatchSimulator, 64 trials per
-/// grid pass. Results are bit-identical to run_campaign_scalar.
+/// grid pass, sharded across all cores: a one-entry run_campaign_catalog
+/// with the hardware worker count. The result is the same for any core
+/// count and bit-identical to run_campaign_scalar.
 CampaignResult run_campaign(const Simulator& simulator,
                             std::span<const TestVector> vectors,
                             const CampaignOptions& options = {});
 
-/// Reference implementation: one scalar Simulator pass per trial. Kept as
-/// the differential-testing oracle for the batched engine; prefer
-/// run_campaign (or run_campaign_catalog, for threads) everywhere else.
+/// Reference implementation: one scalar Simulator pass per trial. Kept
+/// only as the differential-testing oracle for the batched engine.
 CampaignResult run_campaign_scalar(const Simulator& simulator,
                                    std::span<const TestVector> vectors,
                                    const CampaignOptions& options = {});

@@ -3,6 +3,9 @@
 // with the scalar Simulator oracle on every array shape and fault mix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/stop.h"
@@ -158,6 +161,41 @@ TEST(BatchSimulatorTest, DetectLanesMatchesScalarDetects) {
       EXPECT_EQ(((detected >> lane) & 1) != 0,
                 scalar.detects(vector, scenarios[lane]));
     }
+  }
+}
+
+TEST(BatchSimulatorTest, StridedGatherMatchesScenarioForm) {
+  // Lane L of the strided form simulates the `per_scenario` faults at
+  // pool[lanes[L] * per_scenario]; it must read like the same scenarios
+  // passed whole, for any lane order and a partial word.
+  common::Rng rng(17);
+  const auto array = grid::table1_array(5);
+  const Simulator scalar(array);
+  const BatchSimulator batch(array);
+  const auto leak_pairs = control_leak_pairs(array);
+  constexpr int kPerScenario = 3;
+  std::vector<Fault> pool;
+  std::vector<FaultScenario> scenarios;
+  for (int t = 0; t < 100; ++t) {
+    scenarios.push_back(
+        draw_fault_set(rng, array, kPerScenario, leak_pairs, 0.5, 0.2));
+    pool.insert(pool.end(), scenarios.back().begin(),
+                scenarios.back().end());
+  }
+  for (int round = 0; round < 10; ++round) {
+    TestVector vector;
+    vector.states = random_states(rng, array);
+    vector.expected = scalar.expected(vector.states);
+    std::vector<int> lanes;
+    std::vector<FaultScenario> gathered;
+    const int count = round == 0 ? 37 : BatchSimulator::kLanes;
+    for (int lane = 0; lane < count; ++lane) {
+      lanes.push_back(static_cast<int>(rng.next_below(scenarios.size())));
+      gathered.push_back(scenarios[static_cast<std::size_t>(lanes.back())]);
+    }
+    EXPECT_EQ(batch.detect_lanes(vector, pool, kPerScenario, lanes),
+              batch.detect_lanes(vector, gathered))
+        << "round " << round;
   }
 }
 
@@ -349,6 +387,63 @@ TEST(ParallelCampaignTest, CatalogMatchesPerArrayRuns) {
                   references[i].rows[row].undetected_samples)
             << threads << " threads, entry " << i << ", row " << row;
       }
+    }
+  }
+}
+
+TEST(ParallelCampaignTest, ShardedPathMatchesScalarOracle) {
+  // run_campaign and the catalog runner at every worker count must equal
+  // the scalar oracle: a mixed stuck/leak/degraded draw, one full shard
+  // plus a partial one per fault count, and sample caps from none to all.
+  const auto array = grid::table1_array(5);
+  const Simulator simulator(array);
+  // One all-open vector is weak enough that every shard keeps more
+  // undetected trials than any finite cap below.
+  TestVector vector;
+  vector.states =
+      ValveStates(static_cast<std::size_t>(array.valve_count()), true);
+  vector.expected = simulator.expected(vector.states);
+  const TestVector vectors[] = {vector};
+  CampaignOptions options;
+  options.trials_per_count = 4096 + 37;
+  options.min_faults = 1;
+  options.max_faults = 5;
+  options.include_control_leaks = true;
+  options.degraded_probability = 0.1;
+
+  const auto expect_equal = [](const CampaignResult& got,
+                               const CampaignResult& want,
+                               const std::string& label) {
+    EXPECT_EQ(got.interrupted, want.interrupted) << label;
+    ASSERT_EQ(got.rows.size(), want.rows.size()) << label;
+    for (std::size_t i = 0; i < got.rows.size(); ++i) {
+      EXPECT_EQ(got.rows[i].fault_count, want.rows[i].fault_count)
+          << label << ", row " << i;
+      EXPECT_EQ(got.rows[i].set_cardinality, want.rows[i].set_cardinality)
+          << label << ", row " << i;
+      EXPECT_EQ(got.rows[i].trials, want.rows[i].trials)
+          << label << ", row " << i;
+      EXPECT_EQ(got.rows[i].detected, want.rows[i].detected)
+          << label << ", row " << i;
+      EXPECT_EQ(got.rows[i].undetected_samples,
+                want.rows[i].undetected_samples)
+          << label << ", row " << i;
+    }
+  };
+  for (const std::size_t kept : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{20}, SIZE_MAX}) {
+    options.max_undetected_kept = kept;
+    const auto oracle = run_campaign_scalar(simulator, vectors, options);
+    for (const CampaignRow& row : oracle.rows) {
+      ASSERT_GT(row.trials - row.detected, 20) << "vector set too strong";
+    }
+    const std::string cap = "max_undetected_kept " + std::to_string(kept);
+    expect_equal(run_campaign(simulator, vectors, options), oracle,
+                 cap + ", run_campaign");
+    const CatalogEntry entries[] = {{&array, vectors, options}};
+    for (const int workers : {1, 2, 4, 8}) {
+      expect_equal(run_campaign_catalog(entries, workers).front(), oracle,
+                   cap + ", " + std::to_string(workers) + " workers");
     }
   }
 }
