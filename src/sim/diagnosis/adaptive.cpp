@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -12,6 +13,11 @@
 namespace fpva::sim::diagnosis {
 
 namespace {
+
+bool is_applied(std::span<const std::uint64_t> applied_words,
+                std::size_t v) {
+  return (applied_words[v / 64] >> (v % 64)) & 1;
+}
 
 Outcome pack_readings(const std::vector<bool>& readings) {
   Outcome packed = 0;
@@ -76,12 +82,12 @@ AdaptiveDiagnoser::AdaptiveDiagnoser(const grid::ValveArray& array,
       });
 }
 
-int AdaptiveDiagnoser::pick_test(const std::vector<char>& used,
-                                 const std::vector<int>& surviving,
-                                 bool fault_free_alive) const {
+int AdaptiveDiagnoser::pick_test(
+    std::span<const std::uint64_t> applied_words,
+    const std::vector<int>& surviving, bool fault_free_alive) const {
   if (options_.policy == Policy::kStaticOrder) {
     for (std::size_t v = 0; v < vectors_.size(); ++v) {
-      if (!used[v]) return static_cast<int>(v);
+      if (!is_applied(applied_words, v)) return static_cast<int>(v);
     }
     return -1;
   }
@@ -92,7 +98,7 @@ int AdaptiveDiagnoser::pick_test(const std::vector<char>& used,
   int best = -1;
   double best_cost = 0.0;
   for (std::size_t v = 0; v < vectors_.size(); ++v) {
-    if (used[v]) continue;
+    if (is_applied(applied_words, v)) continue;
     // Outcome multiset of this vector over the alive hypotheses.
     scratch_outcomes_.clear();
     const Outcome* row = outcomes_.data() + v * hypotheses;
@@ -129,18 +135,53 @@ SessionResult AdaptiveDiagnoser::run(
     const std::function<Outcome(const TestVector&)>& respond) {
   SessionResult result;
   const int hypotheses = static_cast<int>(universe_.size());
-  std::vector<int> surviving(static_cast<std::size_t>(hypotheses));
-  std::iota(surviving.begin(), surviving.end(), 0);
-  bool fault_free_alive = options_.include_fault_free;
-  std::vector<char> used(vectors_.size(), 0);
+  const bool walk = options_.use_dd_cache;
+  // With the DD cache on, the session state is the key of `node`: the root
+  // (interned once per diagnoser) and then the stored child of each
+  // observed outcome. The local copies below are rebuilt from that key
+  // (`loaded`) only where a step needs them: to pick a test, to leave the
+  // diagram, and at the session end.
+  int node = root_;
+  std::vector<int> surviving;
+  bool fault_free_alive = false;
   std::vector<std::uint64_t> applied_words((vectors_.size() + 63) / 64, 0);
+  bool loaded = false;
+  const auto load = [&] {
+    if (node == DecisionDiagramCache::kNoNode) {
+      surviving.resize(static_cast<std::size_t>(hypotheses));
+      std::iota(surviving.begin(), surviving.end(), 0);
+      fault_free_alive = options_.include_fault_free;
+    } else {
+      // The key's trailing sentinel |universe| marks the fault-free
+      // hypothesis as alive.
+      const std::span<const int> key = cache_.surviving(node);
+      fault_free_alive = !key.empty() && key.back() == hypotheses;
+      surviving.assign(key.begin(), key.end() - (fault_free_alive ? 1 : 0));
+      const std::span<const std::uint64_t> words =
+          cache_.applied_words(node);
+      applied_words.assign(words.begin(), words.end());
+    }
+    loaded = true;
+  };
+  if (node == DecisionDiagramCache::kNoNode) load();
 
   // DD-cache key: surviving indices plus the sentinel |universe| while the
   // fault-free hypothesis is alive (the choice depends on it).
   std::vector<int> key;
-  const auto make_key = [&] {
+  const auto intern_state = [&] {
     key = surviving;
     if (fault_free_alive) key.push_back(hypotheses);
+    return cache_.intern(applied_words, key);
+  };
+  // Alive hypotheses at a node (fault-free included), and the fault-set
+  // hypotheses alone.
+  const auto key_size = [&](int id) {
+    return static_cast<int>(cache_.surviving(id).size());
+  };
+  const auto fault_sets = [&](int id) {
+    const std::span<const int> stored = cache_.surviving(id);
+    return static_cast<int>(stored.size()) -
+           (!stored.empty() && stored.back() == hypotheses ? 1 : 0);
   };
 
   while (true) {
@@ -152,39 +193,56 @@ SessionResult AdaptiveDiagnoser::run(
         result.tests_applied() >= options_.max_tests) {
       break;
     }
-    const int alive =
-        static_cast<int>(surviving.size()) + (fault_free_alive ? 1 : 0);
+    const int alive = loaded ? static_cast<int>(surviving.size()) +
+                                   (fault_free_alive ? 1 : 0)
+                             : key_size(node);
     if (options_.stop_when_isolated && alive <= 1) break;
 
-    int node = DecisionDiagramCache::kNoNode;
     int test = -1;
     bool from_cache = false;
-    if (options_.use_dd_cache) {
-      make_key();
-      node = cache_.intern(applied_words, key);
+    if (walk) {
+      if (node == DecisionDiagramCache::kNoNode) {
+        node = root_ = intern_state();
+      }
       test = cache_.chosen_test(node);
       if (test != DecisionDiagramCache::kNoTest) {
         from_cache = true;
         ++result.cache_hits;
       } else {
-        test = pick_test(used, surviving, fault_free_alive);
+        if (!loaded) load();
+        test = pick_test(applied_words, surviving, fault_free_alive);
         ++result.cache_misses;
         if (test >= 0) cache_.set_chosen_test(node, test);
       }
     } else {
-      test = pick_test(used, surviving, fault_free_alive);
+      test = pick_test(applied_words, surviving, fault_free_alive);
     }
     if (test < 0) break;  // nothing left that could split the hypotheses
 
     const Outcome outcome = respond(vectors_[static_cast<std::size_t>(test)]);
-    used[static_cast<std::size_t>(test)] = 1;
-    applied_words[static_cast<std::size_t>(test) / 64] |=
-        std::uint64_t{1} << (static_cast<std::size_t>(test) % 64);
-
     AppliedTest applied;
     applied.vector_index = test;
     applied.outcome = outcome;
     applied.from_cache = from_cache;
+
+    if (walk) {
+      // On the diagram: the stored child is the state this outcome leads
+      // to, so the step is counted off the two keys' sizes.
+      const int next = cache_.child(node, outcome);
+      if (next != DecisionDiagramCache::kNoNode) {
+        applied.surviving_before = fault_sets(node);
+        applied.surviving_after = fault_sets(next);
+        result.eliminated += key_size(node) - key_size(next);
+        result.applied.push_back(applied);
+        node = next;
+        loaded = false;
+        continue;
+      }
+      if (!loaded) load();
+    }
+
+    applied_words[static_cast<std::size_t>(test) / 64] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(test) % 64);
     applied.surviving_before = static_cast<int>(surviving.size());
     const Outcome* row = outcomes_.data() +
                          static_cast<std::size_t>(test) *
@@ -205,13 +263,14 @@ SessionResult AdaptiveDiagnoser::run(
     applied.surviving_after = static_cast<int>(surviving.size());
     result.applied.push_back(applied);
 
-    if (options_.use_dd_cache) {
-      make_key();
-      const int child = cache_.intern(applied_words, key);
+    if (walk) {
+      const int child = intern_state();
       cache_.link_child(node, outcome, child);
+      node = child;
     }
   }
 
+  if (!loaded) load();
   result.surviving = std::move(surviving);
   result.fault_free_consistent = fault_free_alive;
   return result;

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/stop.h"
@@ -44,10 +45,11 @@ enum class Policy : std::uint8_t {
 
 struct Options {
   Policy policy = Policy::kInfoGain;
-  /// Intern (applied, surviving) states in the decision-diagram cache and
-  /// replay stored decisions. Purely a speedup: the cached choice is the
-  /// same one pick_test would recompute, so results are bit-identical
-  /// either way (see SimOptionsToggleTest).
+  /// Intern (applied, surviving) states in the decision-diagram cache,
+  /// replay stored decisions and follow stored edges. Purely a speedup: the
+  /// cached choice is the same one pick_test would recompute and a stored
+  /// edge leads to the state filtering would rebuild, so results are
+  /// bit-identical either way (see AdaptiveDiagnosisTest.WalkMatches*).
   bool use_dd_cache = true;
   /// Stop as soon as at most one hypothesis survives. Off means "apply
   /// until nothing more can split" (or all vectors, for kStaticOrder).
@@ -94,7 +96,8 @@ struct SessionResult {
 
 /// Drives adaptive sessions over a fixed (array, vectors, universe)
 /// triple. Construction precomputes the outcome of every (vector,
-/// hypothesis) pair bit-parallel; each run() then only filters and scores.
+/// hypothesis) pair bit-parallel; each run() then follows stored edges of
+/// the decision diagram, and filters and scores only off the diagram.
 ///
 /// Not thread-safe: sessions mutate the shared decision-diagram cache.
 /// The array must outlive the diagnoser.
@@ -123,7 +126,7 @@ class AdaptiveDiagnoser {
   /// The next test for the current state, or -1 when no unused vector can
   /// split the surviving hypotheses any further (kStaticOrder instead
   /// walks on through the remaining vectors).
-  int pick_test(const std::vector<char>& used,
+  int pick_test(std::span<const std::uint64_t> applied_words,
                 const std::vector<int>& surviving,
                 bool fault_free_alive) const;
 
@@ -137,6 +140,9 @@ class AdaptiveDiagnoser {
   std::vector<Outcome> outcomes_;
   std::vector<Outcome> expected_;  ///< fault-free outcome per vector
   DecisionDiagramCache cache_;
+  /// The sessions' start state (nothing applied, every hypothesis alive),
+  /// interned by the first session that reaches a test choice.
+  int root_ = DecisionDiagramCache::kNoNode;
   mutable std::vector<Outcome> scratch_outcomes_;  ///< pick_test scratch
 };
 

@@ -66,6 +66,19 @@ void DecisionDiagramCache::set_chosen_test(int node, int test) {
   nodes_[static_cast<std::size_t>(node)].test = test;
 }
 
+std::span<const std::uint64_t> DecisionDiagramCache::applied_words(
+    int node) const {
+  common::check(node >= 0 && node < node_count(),
+                "DecisionDiagramCache: bad node id");
+  return nodes_[static_cast<std::size_t>(node)].applied;
+}
+
+std::span<const int> DecisionDiagramCache::surviving(int node) const {
+  common::check(node >= 0 && node < node_count(),
+                "DecisionDiagramCache: bad node id");
+  return nodes_[static_cast<std::size_t>(node)].surviving;
+}
+
 int DecisionDiagramCache::child(int node, std::uint32_t outcome) const {
   common::check(node >= 0 && node < node_count(),
                 "DecisionDiagramCache: bad node id");

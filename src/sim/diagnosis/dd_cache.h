@@ -6,10 +6,12 @@
 // open hashing on a 64-bit key with exact key-material verification on
 // lookup, the hashed-node construction pattern of chuffed's MDD/opcache —
 // and stores the chosen test plus outcome-indexed edges to successor
-// states. A later session that walks into a known state replays the stored
-// decision instead of re-scoring every candidate vector, and the edge set
-// grown across sessions is exactly a decision diagram of the diagnosis
-// strategy.
+// states. The edge set grown across sessions is exactly a decision diagram
+// of the diagnosis strategy, and sessions walk it: a step whose outcome
+// already has an edge moves to the stored child and reads the hypothesis
+// counts off the child's key, without filtering, copying or hashing. Only
+// a step that leaves the diagram rebuilds its state and interns the next
+// one.
 //
 // Determinism: nodes get ids in interning order and the bucket map is only
 // ever probed (never iterated), so nothing observable depends on hash
@@ -42,6 +44,11 @@ class DecisionDiagramCache {
   /// Successor of `node` under `outcome`, or kNoNode.
   int child(int node, std::uint32_t outcome) const;
   void link_child(int node, std::uint32_t outcome, int child);
+
+  /// The key material `node` was interned with. The spans stay valid
+  /// until the next intern().
+  std::span<const std::uint64_t> applied_words(int node) const;
+  std::span<const int> surviving(int node) const;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
 

@@ -30,11 +30,14 @@ Simulator::Simulator(const grid::ValveArray& array)
   degraded_scratch_.assign(static_cast<std::size_t>(array.valve_count()), 0);
 }
 
-ValveStates Simulator::effective_states(const ValveStates& states,
-                                        std::span<const Fault> faults) const {
+void Simulator::resolve_open(const ValveStates& states,
+                             std::span<const Fault> faults) const {
   common::check(static_cast<int>(states.size()) == array_->valve_count(),
                 "Simulator: vector arity != valve count");
-  ValveStates effective = states;
+  for (int v = 0; v < array_->valve_count(); ++v) {
+    open_scratch_[static_cast<std::size_t>(v)] =
+        states[static_cast<std::size_t>(v)] ? 1 : 0;
+  }
   const auto valid = [&](grid::ValveId id) {
     return id >= 0 && id < array_->valve_count();
   };
@@ -48,55 +51,51 @@ ValveStates Simulator::effective_states(const ValveStates& states,
         !states[static_cast<std::size_t>(fault.valve)] ||
         !states[static_cast<std::size_t>(fault.partner)];
     if (either_actuated) {
-      effective[static_cast<std::size_t>(fault.valve)] = false;
-      effective[static_cast<std::size_t>(fault.partner)] = false;
+      open_scratch_[static_cast<std::size_t>(fault.valve)] = 0;
+      open_scratch_[static_cast<std::size_t>(fault.partner)] = 0;
     }
   }
   // Stuck-at-0 (cannot open) overrides commands and leaks.
   for (const Fault& fault : faults) {
     if (fault.type != FaultType::kStuckAt0) continue;
     common::check(valid(fault.valve), "Simulator: sa0 on invalid valve");
-    effective[static_cast<std::size_t>(fault.valve)] = false;
+    open_scratch_[static_cast<std::size_t>(fault.valve)] = 0;
   }
   // Stuck-at-1 (cannot close): a flow-layer defect keeps the channel open
   // regardless of control pressure, so it wins last.
   for (const Fault& fault : faults) {
     if (fault.type != FaultType::kStuckAt1) continue;
     common::check(valid(fault.valve), "Simulator: sa1 on invalid valve");
-    effective[static_cast<std::size_t>(fault.valve)] = true;
+    open_scratch_[static_cast<std::size_t>(fault.valve)] = 1;
+  }
+}
+
+ValveStates Simulator::effective_states(const ValveStates& states,
+                                        std::span<const Fault> faults) const {
+  resolve_open(states, faults);
+  ValveStates effective(open_scratch_.size());
+  for (std::size_t v = 0; v < open_scratch_.size(); ++v) {
+    effective[v] = open_scratch_[v] != 0;
   }
   return effective;
 }
 
 std::vector<bool> Simulator::readings(const ValveStates& states,
                                       std::span<const Fault> faults) const {
-  common::check(static_cast<int>(states.size()) == array_->valve_count(),
-                "Simulator: vector arity != valve count");
   // Resolve effective openness into the flat scratch buffer, and gather the
   // degraded valves that can actually weaken anything (effectively open).
+  resolve_open(states, faults);
   bool any_degraded = false;
-  if (faults.empty()) {
-    for (int v = 0; v < array_->valve_count(); ++v) {
-      open_scratch_[static_cast<std::size_t>(v)] =
-          states[static_cast<std::size_t>(v)] ? 1 : 0;
+  for (const Fault& fault : faults) {
+    if (fault.type != FaultType::kDegradedFlow) continue;
+    common::check(fault.valve >= 0 && fault.valve < array_->valve_count(),
+                  "Simulator: degraded-flow fault on invalid valve");
+    if (!open_scratch_[static_cast<std::size_t>(fault.valve)]) continue;
+    if (!any_degraded) {
+      std::fill(degraded_scratch_.begin(), degraded_scratch_.end(), 0);
+      any_degraded = true;
     }
-  } else {
-    const ValveStates effective = effective_states(states, faults);
-    for (int v = 0; v < array_->valve_count(); ++v) {
-      open_scratch_[static_cast<std::size_t>(v)] =
-          effective[static_cast<std::size_t>(v)] ? 1 : 0;
-    }
-    for (const Fault& fault : faults) {
-      if (fault.type != FaultType::kDegradedFlow) continue;
-      common::check(fault.valve >= 0 && fault.valve < array_->valve_count(),
-                    "Simulator: degraded-flow fault on invalid valve");
-      if (!open_scratch_[static_cast<std::size_t>(fault.valve)]) continue;
-      if (!any_degraded) {
-        std::fill(degraded_scratch_.begin(), degraded_scratch_.end(), 0);
-        any_degraded = true;
-      }
-      degraded_scratch_[static_cast<std::size_t>(fault.valve)] = 1;
-    }
+    degraded_scratch_[static_cast<std::size_t>(fault.valve)] = 1;
   }
 
   // BFS flood from all source cells. pressurized_ holds the pressure level:

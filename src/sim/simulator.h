@@ -70,6 +70,11 @@ class Simulator {
   const FlowTopology& topology() const { return topology_; }
 
  private:
+  /// Writes the effective openness of every valve (the resolution rules
+  /// of effective_states()) into open_scratch_.
+  void resolve_open(const ValveStates& states,
+                    std::span<const Fault> faults) const;
+
   const grid::ValveArray* array_;
   FlowTopology topology_;
   mutable std::vector<char> pressurized_;      // scratch

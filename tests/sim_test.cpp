@@ -89,6 +89,17 @@ TEST(SimulatorTest, FaultResolutionOrder) {
   const auto effective = simulator.effective_states({false, true}, faults);
   EXPECT_FALSE(effective[0]);
   EXPECT_TRUE(effective[1]);
+  // sa1 also wins over sa0 on the same valve.
+  const Fault stuck_both[] = {stuck_at_1(0), stuck_at_0(0)};
+  EXPECT_TRUE(simulator.effective_states({false, false}, stuck_both)[0]);
+  // Leaks read the commanded states, not each other's closures: leak(0,1)
+  // closes valve 1, but leak(1,2) sees valve 1 commanded open and idles.
+  const auto chain = grid::full_array(1, 4);
+  ASSERT_EQ(chain.valve_count(), 3);
+  const Simulator chained(chain);
+  const Fault leaks[] = {control_leak(0, 1), control_leak(1, 2)};
+  EXPECT_EQ(chained.effective_states({false, true, true}, leaks),
+            (ValveStates{false, false, true}));
 }
 
 TEST(SimulatorTest, SingleDegradedValveStaysMeterVisible) {
