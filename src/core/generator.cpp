@@ -65,6 +65,28 @@ int band_of_valve(const grid::ValveArray& array, grid::ValveId valve,
   return ((site.row + 1) / 2 - 1) / block_size;
 }
 
+/// Erases from `pending` every single fault that `vector` detects. A fault
+/// the simulator's screen proves leaves the vector's fault-free flood
+/// unchanged reads the fault-free readings, so only the rest are flooded.
+void erase_detected(const sim::Simulator& simulator,
+                    const sim::TestVector& vector,
+                    std::vector<sim::Fault>& pending) {
+  common::check(static_cast<int>(vector.expected.size()) ==
+                    simulator.sink_count(),
+                "Simulator: vector expected-arity != sink count");
+  const std::vector<bool> fault_free =
+      simulator.fault_free_pressure(vector.states);
+  const bool fault_free_differs =
+      simulator.expected(vector.states) != vector.expected;
+  std::erase_if(pending, [&](const sim::Fault& fault) {
+    const sim::Fault injected[] = {fault};
+    if (simulator.flood_unchanged(vector.states, injected, fault_free)) {
+      return fault_free_differs;
+    }
+    return simulator.detects(vector, injected);
+  });
+}
+
 }  // namespace
 
 GeneratedTestSet generate_test_set(const grid::ValveArray& array,
@@ -246,11 +268,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
       }
       auto vector = to_test_vector(array, simulator, *cut,
                                    cat("cut ", out.cuts.size() + 1));
-      const sim::TestVector just_added[] = {vector};
-      std::erase_if(remaining, [&](const sim::Fault& fault) {
-        const sim::Fault injected[] = {fault};
-        return simulator.any_detects(just_added, injected);
-      });
+      erase_detected(simulator, vector, remaining);
       out.cuts.push_back(std::move(*cut));
       out.vectors.push_back(std::move(vector));
     }
@@ -302,11 +320,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
                                      cat("leak ", ++leak_index));
         vector.kind = sim::VectorKind::kControlLeak;
         if (simulator.detects(vector, injected)) {
-          const sim::TestVector just_added[] = {vector};
-          std::erase_if(remaining, [&](const sim::Fault& pending) {
-            const sim::Fault probe[] = {pending};
-            return simulator.any_detects(just_added, probe);
-          });
+          erase_detected(simulator, vector, remaining);
           leak_vectors.push_back(std::move(vector));
           detected = true;
         } else {

@@ -42,6 +42,8 @@ AdaptiveDiagnoser::AdaptiveDiagnoser(const grid::ValveArray& array,
   common::check(sinks <= 32,
                 "AdaptiveDiagnoser: >32 sinks cannot pack into an Outcome");
   expected_.resize(vectors_.size());
+  fault_free_pressure_.resize(vectors_.size());
+  fault_free_outcome_.resize(vectors_.size());
   for (std::size_t v = 0; v < vectors_.size(); ++v) {
     common::check(
         static_cast<int>(vectors_[v].expected.size()) == sinks,
@@ -278,6 +280,16 @@ SessionResult AdaptiveDiagnoser::run(
 
 SessionResult AdaptiveDiagnoser::run(const FaultScenario& truth) {
   return run([&](const TestVector& vector) {
+    // run(respond) hands over elements of vectors_.
+    const auto v = static_cast<std::size_t>(&vector - vectors_.data());
+    std::vector<bool>& pressure = fault_free_pressure_[v];
+    if (pressure.empty()) {
+      pressure = oracle_.fault_free_pressure(vector.states);
+      fault_free_outcome_[v] = pack_readings(oracle_.expected(vector.states));
+    }
+    if (oracle_.flood_unchanged(vector.states, truth, pressure)) {
+      return fault_free_outcome_[v];
+    }
     return pack_readings(oracle_.readings(vector.states, truth));
   });
 }

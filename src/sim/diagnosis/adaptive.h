@@ -112,8 +112,13 @@ class AdaptiveDiagnoser {
   /// of the vector it is handed).
   SessionResult run(const std::function<Outcome(const TestVector&)>& respond);
 
-  /// Convenience: the chip is `array` with `truth` injected (simulated
-  /// through the scalar oracle).
+  /// Convenience: the chip is `array` with `truth` injected, emulated by
+  /// the scalar oracle. Each response first asks
+  /// Simulator::flood_unchanged() whether `truth` can change the vector's
+  /// fault-free flood; when it cannot, the vector's fault-free outcome is
+  /// returned without a flood. That outcome and the fault-free cell
+  /// pressure come from simulating the vector (never from its `expected`
+  /// field), once, on its first emulated response.
   SessionResult run(const FaultScenario& truth);
 
   const std::vector<TestVector>& vectors() const { return vectors_; }
@@ -138,7 +143,13 @@ class AdaptiveDiagnoser {
   /// outcomes_[v * |universe| + h]: packed readings of vectors_[v] under
   /// universe_[h].
   std::vector<Outcome> outcomes_;
-  std::vector<Outcome> expected_;  ///< fault-free outcome per vector
+  /// Packed `expected` of each vector: the fault-free hypothesis.
+  std::vector<Outcome> expected_;
+  /// Per vector, run(truth)'s screen reference, simulated: fault-free cell
+  /// pressure (empty until the vector's first emulated response) and the
+  /// packed fault-free readings.
+  std::vector<std::vector<bool>> fault_free_pressure_;
+  std::vector<Outcome> fault_free_outcome_;
   DecisionDiagramCache cache_;
   /// The sessions' start state (nothing applied, every hypothesis alive),
   /// interned by the first session that reaches a test choice.

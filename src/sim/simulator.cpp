@@ -28,6 +28,15 @@ Simulator::Simulator(const grid::ValveArray& array)
   frontier_.reserve(static_cast<std::size_t>(topology_.cell_count()));
   open_scratch_.assign(static_cast<std::size_t>(array.valve_count()), 0);
   degraded_scratch_.assign(static_cast<std::size_t>(array.valve_count()), 0);
+  valve_cells_.assign(static_cast<std::size_t>(array.valve_count()),
+                      {-1, -1});
+  for (int cell = 0; cell < topology_.cell_count(); ++cell) {
+    for (const FlowLink& link : topology_.links_of(cell)) {
+      if (link.valve != grid::kInvalidValve) {
+        valve_cells_[static_cast<std::size_t>(link.valve)] = {cell, link.to};
+      }
+    }
+  }
 }
 
 void Simulator::resolve_open(const ValveStates& states,
@@ -38,6 +47,11 @@ void Simulator::resolve_open(const ValveStates& states,
     open_scratch_[static_cast<std::size_t>(v)] =
         states[static_cast<std::size_t>(v)] ? 1 : 0;
   }
+  apply_faults(states, faults);
+}
+
+void Simulator::apply_faults(const ValveStates& states,
+                             std::span<const Fault> faults) const {
   const auto valid = [&](grid::ValveId id) {
     return id >= 0 && id < array_->valve_count();
   };
@@ -169,6 +183,71 @@ std::vector<bool> Simulator::readings(const ValveStates& states,
     result[s] = pressurized_[static_cast<std::size_t>(sink_cells[s])] != 0;
   }
   return result;
+}
+
+std::vector<bool> Simulator::fault_free_pressure(
+    const ValveStates& states) const {
+  (void)readings(states, {});  // floods into pressurized_
+  std::vector<bool> pressure(pressurized_.size());
+  for (std::size_t cell = 0; cell < pressure.size(); ++cell) {
+    pressure[cell] = pressurized_[cell] != 0;
+  }
+  return pressure;
+}
+
+bool Simulator::flood_unchanged(const ValveStates& states,
+                                std::span<const Fault> faults,
+                                const std::vector<bool>& fault_free) const {
+  common::check(static_cast<int>(states.size()) == array_->valve_count(),
+                "Simulator: vector arity != valve count");
+  common::check(static_cast<int>(fault_free.size()) == topology_.cell_count(),
+                "Simulator: fault-free pressure arity != cell count");
+  // Resolve only the named valves: seed each with its command, then apply
+  // the shared rules (which also validate the ids, in readings()' order).
+  const auto seed = [&](grid::ValveId v) {
+    if (v >= 0 && v < array_->valve_count()) {
+      open_scratch_[static_cast<std::size_t>(v)] =
+          states[static_cast<std::size_t>(v)] ? 1 : 0;
+    }
+  };
+  for (const Fault& fault : faults) {
+    seed(fault.valve);
+    if (fault.type == FaultType::kControlLeak) seed(fault.partner);
+  }
+  apply_faults(states, faults);
+
+  const auto wet = [&](int cell) {
+    return fault_free[static_cast<std::size_t>(cell)];
+  };
+  // A named valve changes the flood when it is opened between cells of
+  // different fault-free pressure or closed between wet cells.
+  const auto changes = [&](grid::ValveId v) {
+    const bool open = open_scratch_[static_cast<std::size_t>(v)] != 0;
+    const auto [a, b] = valve_cells_[static_cast<std::size_t>(v)];
+    if (open == states[static_cast<std::size_t>(v)] || a < 0) return false;
+    return open ? wet(a) != wet(b) : wet(a) || wet(b);
+  };
+  // Every fault is visited before the verdict, so an invalid degraded id
+  // throws even when an earlier fault already decided it.
+  bool unchanged = true;
+  for (const Fault& fault : faults) {
+    if (fault.type == FaultType::kDegradedFlow) {
+      common::check(fault.valve >= 0 && fault.valve < array_->valve_count(),
+                    "Simulator: degraded-flow fault on invalid valve");
+      // A degraded valve weakens only flow it carries: it must be
+      // effectively open between wet cells.
+      const auto [a, b] = valve_cells_[static_cast<std::size_t>(fault.valve)];
+      if (open_scratch_[static_cast<std::size_t>(fault.valve)] && a >= 0 &&
+          (wet(a) || wet(b))) {
+        unchanged = false;
+      }
+    }
+    if (changes(fault.valve) ||
+        (fault.type == FaultType::kControlLeak && changes(fault.partner))) {
+      unchanged = false;
+    }
+  }
+  return unchanged;
 }
 
 bool Simulator::detects(const TestVector& vector,

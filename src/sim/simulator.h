@@ -15,6 +15,7 @@
 #define FPVA_SIM_SIMULATOR_H
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "grid/array.h"
@@ -26,6 +27,23 @@ namespace fpva::sim {
 
 /// Simulates one ValveArray. Construction precomputes the cell adjacency;
 /// readings() then runs an allocation-free BFS per call.
+///
+/// Most faults cannot change what a given vector floods, and
+/// flood_unchanged() proves that without flooding. It resolves only the
+/// valves the faults name, with the rules and order of effective_states().
+/// A named valve changes nothing when its effective state equals its
+/// command, when it gates no flow link, when it is opened (commanded
+/// closed, effectively open) between two cells of equal fault-free
+/// pressure, or when it is closed (commanded open, effectively closed)
+/// between dry cells. A degraded fault changes nothing when its valve is
+/// effectively closed or its cells are dry. Proof sketch: let F be the
+/// fault-free flood. Under those conditions no newly open link touches F
+/// unless both its cells are in F, no closed link lies inside F, and every
+/// degraded crossing lies outside F. So F is still reached at full
+/// pressure and nothing beyond it is: the readings are exactly the
+/// fault-free readings. When any named valve fails its condition the
+/// screen answers "may change", and the caller floods with readings(),
+/// which stays the only flood routine and the oracle.
 ///
 /// Not thread-safe: scratch buffers are reused across calls. Create one
 /// Simulator per thread.
@@ -54,6 +72,20 @@ class Simulator {
     return readings(states, {});
   }
 
+  /// Fault-free pressure of every cell under `states` (true = wet, indexed
+  /// like topology() cells): the reference flood_unchanged() reads.
+  std::vector<bool> fault_free_pressure(const ValveStates& states) const;
+
+  /// Exact screen: true when `faults` provably leave the fault-free flood of
+  /// `states` unchanged (rule in the class comment), so readings(states,
+  /// faults) equals expected(states) without a flood. False means "may
+  /// change", not "changes". `fault_free` must be fault_free_pressure(states).
+  /// Resolves only the named valves, in O(faults); invalid valve ids throw
+  /// the same errors readings() throws.
+  bool flood_unchanged(const ValveStates& states,
+                       std::span<const Fault> faults,
+                       const std::vector<bool>& fault_free) const;
+
   /// True when the faulty readings differ from `vector.expected`.
   bool detects(const TestVector& vector, std::span<const Fault> faults) const;
 
@@ -75,8 +107,16 @@ class Simulator {
   void resolve_open(const ValveStates& states,
                     std::span<const Fault> faults) const;
 
+  /// The resolution rules proper: applies leaks, then sa0, then sa1 to the
+  /// open_scratch_ entries of the valves `faults` name, which must already
+  /// hold their commanded state. Throws on invalid valve ids.
+  void apply_faults(const ValveStates& states,
+                    std::span<const Fault> faults) const;
+
   const grid::ValveArray* array_;
   FlowTopology topology_;
+  /// The two cells each valve gates, or {-1, -1} when it gates no link.
+  std::vector<std::pair<int, int>> valve_cells_;
   mutable std::vector<char> pressurized_;      // scratch
   mutable std::vector<int> frontier_;          // scratch
   mutable std::vector<char> open_scratch_;     // scratch

@@ -109,6 +109,54 @@ class WalkedAndFiltered {
   AdaptiveDiagnoser filtered_;
 };
 
+/// Requires two sessions to be equal in every SessionResult field.
+void expect_identical_session(const SessionResult& got,
+                              const SessionResult& want,
+                              const std::string& label) {
+  ASSERT_EQ(got.tests_applied(), want.tests_applied()) << label;
+  for (int t = 0; t < got.tests_applied(); ++t) {
+    const auto& a = got.applied[static_cast<std::size_t>(t)];
+    const auto& b = want.applied[static_cast<std::size_t>(t)];
+    EXPECT_EQ(a.vector_index, b.vector_index) << label << " test " << t;
+    EXPECT_EQ(a.outcome, b.outcome) << label << " test " << t;
+    EXPECT_EQ(a.surviving_before, b.surviving_before)
+        << label << " test " << t;
+    EXPECT_EQ(a.surviving_after, b.surviving_after) << label << " test " << t;
+    EXPECT_EQ(a.from_cache, b.from_cache) << label << " test " << t;
+  }
+  EXPECT_EQ(got.surviving, want.surviving) << label;
+  EXPECT_EQ(got.fault_free_consistent, want.fault_free_consistent) << label;
+  EXPECT_EQ(got.eliminated, want.eliminated) << label;
+  EXPECT_EQ(got.cache_hits, want.cache_hits) << label;
+  EXPECT_EQ(got.cache_misses, want.cache_misses) << label;
+  EXPECT_EQ(got.interrupted, want.interrupted) << label;
+}
+
+/// Two diagnosers over the same inputs: one emulates the chip with
+/// run(truth), the other answers every vector by flooding a separate
+/// oracle Simulator. Every session runs on both and must match whole.
+class ScreenedAndFlooded {
+ public:
+  ScreenedAndFlooded(const grid::ValveArray& array,
+                     const std::vector<TestVector>& vectors,
+                     const std::vector<FaultScenario>& universe)
+      : oracle_(array),
+        screened_(array, vectors, universe),
+        flooded_(array, vectors, universe) {}
+
+  void run(const FaultScenario& truth) {
+    const SessionResult want = flooded_.run([&](const TestVector& vector) {
+      return pack(oracle_.readings(vector.states, truth));
+    });
+    expect_identical_session(screened_.run(truth), want, to_string(truth));
+  }
+
+ private:
+  Simulator oracle_;
+  AdaptiveDiagnoser screened_;
+  AdaptiveDiagnoser flooded_;
+};
+
 TEST(AdaptiveDiagnosisTest, StaticPathReproducesDiagnose) {
   const auto array = grid::table1_array(5);
   const auto set = core::generate_test_set(array);
@@ -414,6 +462,79 @@ TEST(AdaptiveDiagnosisTest, WalkMatchesFilteringWhenStoppedMidSession) {
                               to_string(universe[h]));
     }
   }
+}
+
+TEST(AdaptiveDiagnosisTest, RunTruthMatchesOracleChipOnEveryStuckFault) {
+  const auto array = grid::table1_array(10);
+  const auto set = core::generate_test_set(array);
+  const auto universe = single_fault_universe(array);
+  ScreenedAndFlooded sessions(array, set.vectors, universe);
+  for (const FaultScenario& truth : universe) sessions.run(truth);
+  sessions.run(FaultScenario{});
+}
+
+TEST(AdaptiveDiagnosisTest, RunTruthMatchesOracleChipOnMixedUniverse) {
+  const auto array = grid::full_array(4, 4);
+  const auto set = core::generate_test_set(array);
+  std::vector<FaultScenario> universe;
+  const int valves = array.valve_count();
+  for (int v = 0; v < valves; ++v) {
+    universe.push_back({degraded_flow(v)});
+    if (v + 1 < valves) {
+      universe.push_back({control_leak(v, v + 1)});
+      universe.push_back({control_leak(v + 1, v), stuck_at_1(v)});
+      universe.push_back({stuck_at_1(v), stuck_at_0(v), degraded_flow(v)});
+    }
+    if (v + 3 < valves) {
+      universe.push_back({stuck_at_1(v), stuck_at_0(v + 3)});
+      universe.push_back({degraded_flow(v), degraded_flow(v + 3)});
+      universe.push_back({control_leak(v, v + 3), stuck_at_1(v + 1),
+                          degraded_flow(v + 3)});
+    }
+  }
+  ScreenedAndFlooded sessions(array, set.vectors, universe);
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (const FaultScenario& truth : universe) sessions.run(truth);
+  }
+}
+
+TEST(AdaptiveDiagnosisTest, RunTruthMatchesOracleChipOutsideTheUniverse) {
+  // The universe holds only the sa0 faults; the truths are everything
+  // else, including leaks, degraded valves and multi-fault sets.
+  const auto array = grid::table1_array(5);
+  const auto set = core::generate_test_set(array);
+  std::vector<FaultScenario> universe;
+  std::vector<FaultScenario> outside;
+  for (const Fault& fault : single_stuck_fault_universe(array)) {
+    (fault.type == FaultType::kStuckAt0 ? universe : outside)
+        .push_back({fault});
+  }
+  for (const Fault& leak : control_leak_universe(array)) {
+    outside.push_back({leak});
+  }
+  const int valves = array.valve_count();
+  for (int v = 0; v + 2 < valves; v += 3) {
+    outside.push_back({degraded_flow(v), degraded_flow(v + 2)});
+    outside.push_back({stuck_at_0(v), stuck_at_1(v + 1)});
+  }
+  ScreenedAndFlooded sessions(array, set.vectors, universe);
+  for (const FaultScenario& truth : outside) sessions.run(truth);
+}
+
+TEST(AdaptiveDiagnosisTest, RunTruthIgnoresAWrongExpectedReading) {
+  // run(truth) emulates the chip from simulation: a vector whose stored
+  // fault-free reading is wrong changes the hypotheses' bookkeeping, not
+  // what the chip answers.
+  const auto array = grid::table1_array(5);
+  auto vectors = core::generate_test_set(array).vectors;
+  ASSERT_FALSE(vectors.empty());
+  for (const std::size_t v : {std::size_t{0}, vectors.size() / 2}) {
+    vectors[v].expected[0] = !vectors[v].expected[0];
+  }
+  const auto universe = single_fault_universe(array);
+  ScreenedAndFlooded sessions(array, vectors, universe);
+  for (const FaultScenario& truth : universe) sessions.run(truth);
+  sessions.run(FaultScenario{});
 }
 
 TEST(AdaptiveDiagnosisTest, RepeatSessionsHitTheCache) {

@@ -8,8 +8,9 @@
 //
 // Seeds come from FPVA_SIM_SEED_FILE (one uint64 per line) and/or
 // FPVA_SIM_FUZZ_SEEDS (whitespace-separated inline); with neither set the
-// sweep is a no-op. CI's sanitize leg points FPVA_SIM_SEED_FILE at the
-// committed tests/sim_fuzz_seeds.txt.
+// sweep is a no-op. ctest sets FPVA_SIM_SEED_FILE to the committed
+// tests/sim_fuzz_seeds.txt, so every ctest run (and CI's sanitize leg)
+// sweeps those seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -56,18 +58,24 @@ ValveStates random_states(common::Rng& rng, const grid::ValveArray& array) {
   return states;
 }
 
-/// A fault set with no structural guarantees: kinds drawn uniformly and
-/// valves drawn with replacement, so the same valve can carry e.g. a
-/// stuck-at-1 and a degraded-flow fault at once. Exercises resolution-order
-/// corners draw_fault_set's distinct-valve invariant never reaches.
+/// A fault set with no structural guarantees: kinds drawn uniformly, and
+/// half the draws reuse a valve the set already names, so one valve can
+/// carry e.g. sa0 and sa1 at once and leaks can share a partner (in either
+/// orientation). Exercises resolution-order corners draw_fault_set's
+/// distinct-valve invariant never reaches.
 FaultScenario random_overlapping_set(common::Rng& rng,
                                      const grid::ValveArray& array,
                                      std::span<const LeakPair> leak_pairs,
                                      int fault_count) {
   FaultScenario faults;
+  std::vector<grid::ValveId> named;
+  std::vector<LeakPair> through;
   for (int i = 0; i < fault_count; ++i) {
-    const auto valve = static_cast<grid::ValveId>(
-        rng.next_below(static_cast<std::uint64_t>(array.valve_count())));
+    const grid::ValveId valve =
+        !named.empty() && rng.next_bool(0.5)
+            ? named[static_cast<std::size_t>(rng.next_below(named.size()))]
+            : static_cast<grid::ValveId>(rng.next_below(
+                  static_cast<std::uint64_t>(array.valve_count())));
     switch (rng.next_below(leak_pairs.empty() ? 3 : 4)) {
       case 0:
         faults.push_back(stuck_at_0(valve));
@@ -79,12 +87,25 @@ FaultScenario random_overlapping_set(common::Rng& rng,
         faults.push_back(degraded_flow(valve));
         break;
       default: {
-        const auto& [a, b] = leak_pairs[static_cast<std::size_t>(
-            rng.next_below(leak_pairs.size()))];
+        // A pair through `valve` when it has one, else any pair.
+        through.clear();
+        for (const LeakPair& pair : leak_pairs) {
+          if (pair.first == valve || pair.second == valve) {
+            through.push_back(pair);
+          }
+        }
+        const std::span<const LeakPair> pool =
+            through.empty() ? leak_pairs : std::span<const LeakPair>(through);
+        auto [a, b] = pool[static_cast<std::size_t>(
+            rng.next_below(pool.size()))];
+        if (rng.next_bool(0.5)) std::swap(a, b);
         faults.push_back(control_leak(a, b));
-        break;
+        named.push_back(a);
+        named.push_back(b);
+        continue;
       }
     }
+    named.push_back(valve);
   }
   return faults;
 }
@@ -116,12 +137,20 @@ void fuzz_batch_vs_scalar(std::uint64_t seed) {
     }
     const auto words = batch.readings(states, scenarios);
     ASSERT_EQ(words.size(), static_cast<std::size_t>(batch.sink_count()));
+    // The flood screen: a set it clears must read the fault-free readings.
+    const std::vector<bool> fault_free = scalar.expected(states);
+    const std::vector<bool> pressure = scalar.fault_free_pressure(states);
     for (std::size_t lane = 0; lane < scenarios.size(); ++lane) {
       const auto expected = scalar.readings(states, scenarios[lane]);
       for (std::size_t s = 0; s < words.size(); ++s) {
         ASSERT_EQ(((words[s] >> lane) & 1) != 0, expected[s])
             << "seed=" << seed << " round=" << round << " lane=" << lane
             << " sink=" << s << " faults=" << to_string(scenarios[lane]);
+      }
+      if (scalar.flood_unchanged(states, scenarios[lane], pressure)) {
+        ASSERT_EQ(expected, fault_free)
+            << "seed=" << seed << " round=" << round << " lane=" << lane
+            << " screened faults=" << to_string(scenarios[lane]);
       }
     }
     TestVector vector;
@@ -200,9 +229,9 @@ std::vector<std::uint64_t> configured_seeds() {
   return seeds;
 }
 
-// CI's sanitized fuzz step points FPVA_SIM_SEED_FILE at the committed seed
-// list (tests/sim_fuzz_seeds.txt) and runs exactly this test; locally the
-// test is a no-op unless seeds are configured.
+// ctest points FPVA_SIM_SEED_FILE at the committed seed list
+// (tests/sim_fuzz_seeds.txt); run directly, the test is a no-op unless
+// seeds are configured.
 TEST(SimFuzzTest, SeededSweep) {
   const std::vector<std::uint64_t> seeds = configured_seeds();
   for (const std::uint64_t seed : seeds) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "common/check.h"
 #include "grid/builder.h"
 #include "grid/presets.h"
 #include "sim/campaign.h"
@@ -185,6 +189,196 @@ TEST(SimulatorTest, DetectsComparesAgainstExpected) {
   narrow.expected = simulator.expected(narrow.states);
   EXPECT_TRUE(narrow.expected[0]);
   EXPECT_TRUE(simulator.detects(narrow, fault));
+}
+
+/// flood_unchanged() against the fault-free flood of `states`; whenever it
+/// clears a fault set, the flooded readings must equal the fault-free ones.
+bool screened(const Simulator& simulator, const ValveStates& states,
+              std::span<const Fault> faults) {
+  const bool unchanged = simulator.flood_unchanged(
+      states, faults, simulator.fault_free_pressure(states));
+  if (unchanged) {
+    EXPECT_EQ(simulator.readings(states, faults), simulator.expected(states))
+        << to_string(std::vector<Fault>(faults.begin(), faults.end()));
+  }
+  return unchanged;
+}
+
+TEST(FloodScreenTest, FaultFreePressureMarksWetCells) {
+  // 1x3 with only valve 0 open: cells 0 and 1 are wet, cell 2 is dry.
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  EXPECT_EQ(simulator.fault_free_pressure({true, false}),
+            (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(simulator.fault_free_pressure({true, true}),
+            (std::vector<bool>{true, true, true}));
+}
+
+TEST(FloodScreenTest, InertStuckFaultsChangeNothing) {
+  // The stuck value equals the command.
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  const Fault sa0[] = {stuck_at_0(0)};
+  EXPECT_TRUE(screened(simulator, {false, true}, sa0));
+  const Fault sa1[] = {stuck_at_1(0)};
+  EXPECT_TRUE(screened(simulator, {true, false}, sa1));
+  EXPECT_TRUE(screened(simulator, {true, false}, {}));
+}
+
+TEST(FloodScreenTest, StuckAt1OpenedBetweenEqualPressuresChangesNothing) {
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  // Both valves closed: valve 1 joins two dry cells.
+  const Fault dry[] = {stuck_at_1(1)};
+  EXPECT_TRUE(screened(simulator, {false, false}, dry));
+  // 2x2 flooded around the closed top valve: it joins two wet cells.
+  const auto square = grid::full_array(2, 2);
+  const Simulator looped(square);
+  ValveStates states = all_open(square);
+  const grid::ValveId top = square.valve_id(Site{1, 2});
+  states[static_cast<std::size_t>(top)] = false;
+  const Fault wet[] = {stuck_at_1(top)};
+  EXPECT_TRUE(screened(looped, states, wet));
+}
+
+TEST(FloodScreenTest, StuckAt1OpenedBetweenWetAndDryFloods) {
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  const ValveStates states{true, false};
+  const Fault sa1[] = {stuck_at_1(1)};
+  EXPECT_FALSE(screened(simulator, states, sa1));
+  EXPECT_NE(simulator.readings(states, sa1), simulator.expected(states));
+}
+
+TEST(FloodScreenTest, StuckAt0ClosingDryValveChangesNothing) {
+  // Valve 0 closed: valve 1 is open between two dry cells.
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  const Fault sa0[] = {stuck_at_0(1)};
+  EXPECT_TRUE(screened(simulator, {false, true}, sa0));
+}
+
+TEST(FloodScreenTest, StuckAt0ClosingWetValveFloods) {
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  const ValveStates states = all_open(array);
+  const Fault sa0[] = {stuck_at_0(0)};
+  EXPECT_FALSE(screened(simulator, states, sa0));
+  EXPECT_NE(simulator.readings(states, sa0), simulator.expected(states));
+}
+
+TEST(FloodScreenTest, LeakPartnerClosingWetValveFloods) {
+  // 2x2 routed along the top row and down the right column; the closed
+  // left valve leaks into its open, wet partner on the route.
+  const auto array = grid::full_array(2, 2);
+  const Simulator simulator(array);
+  ValveStates states = all_closed(array);
+  const grid::ValveId top = array.valve_id(Site{1, 2});
+  const grid::ValveId right = array.valve_id(Site{2, 3});
+  const grid::ValveId left = array.valve_id(Site{2, 1});
+  states[static_cast<std::size_t>(top)] = true;
+  states[static_cast<std::size_t>(right)] = true;
+  ASSERT_TRUE(simulator.expected(states)[0]);
+  const Fault leak[] = {control_leak(left, top)};
+  EXPECT_FALSE(screened(simulator, states, leak));
+  EXPECT_NE(simulator.readings(states, leak), simulator.expected(states));
+  // With both partners commanded open the leak idles.
+  ValveStates idle = states;
+  idle[static_cast<std::size_t>(left)] = true;
+  EXPECT_TRUE(screened(simulator, idle, leak));
+}
+
+TEST(FloodScreenTest, DegradedMattersOnlyOnWetOpenValves) {
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  // Two degraded crossings in series on the wet route read dry.
+  const ValveStates open = all_open(array);
+  const Fault both[] = {degraded_flow(0), degraded_flow(1)};
+  EXPECT_FALSE(screened(simulator, open, both));
+  EXPECT_NE(simulator.readings(open, both), simulator.expected(open));
+  // One wet degraded valve is meter-invisible but still not cleared: the
+  // screen reasons about the flood, not the meters.
+  const Fault one[] = {degraded_flow(1)};
+  EXPECT_FALSE(screened(simulator, open, one));
+  // Open between dry cells, or closed: nothing to weaken.
+  EXPECT_TRUE(screened(simulator, {false, true}, one));
+  const Fault closed[] = {degraded_flow(0)};
+  EXPECT_TRUE(screened(simulator, {false, true}, closed));
+}
+
+TEST(FloodScreenTest, StuckAt1WinsOverStuckAt0OnOneValve) {
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  // Both on an open wet valve: it stays open, as commanded.
+  const Fault inert[] = {stuck_at_1(0), stuck_at_0(0)};
+  EXPECT_TRUE(screened(simulator, all_open(array), inert));
+  // Both on a closed valve between wet and dry cells: it opens.
+  const ValveStates states{true, false};
+  const Fault opened[] = {stuck_at_1(1), stuck_at_0(1)};
+  EXPECT_FALSE(screened(simulator, states, opened));
+  EXPECT_NE(simulator.readings(states, opened), simulator.expected(states));
+}
+
+TEST(FloodScreenTest, InvalidValveIdsThrowLikeReadings) {
+  const auto array = grid::full_array(1, 3);
+  const Simulator simulator(array);
+  const ValveStates states = all_open(array);
+  const std::vector<bool> fault_free = simulator.fault_free_pressure(states);
+  const std::vector<std::vector<Fault>> invalid = {
+      {stuck_at_0(2)},
+      {stuck_at_1(-1)},
+      {control_leak(0, 7)},
+      // The first fault alone already needs a flood; the second must
+      // still be validated.
+      {stuck_at_0(0), degraded_flow(5)},
+      // Inert on its own, so a screen that skipped validation would
+      // answer "unchanged".
+      {stuck_at_1(0), stuck_at_0(9)},
+  };
+  for (const auto& faults : invalid) {
+    EXPECT_THROW((void)simulator.readings(states, faults), common::Error)
+        << to_string(faults);
+    EXPECT_THROW(
+        (void)simulator.flood_unchanged(states, faults, fault_free),
+        common::Error)
+        << to_string(faults);
+  }
+  EXPECT_THROW((void)simulator.flood_unchanged({true}, {}, fault_free),
+               common::Error);
+}
+
+TEST(FloodScreenTest, ExhaustiveOnSmallArray) {
+  // Every commanded state of a 2x2 array under every single fault and
+  // every pair of them: a cleared set must read the fault-free readings
+  // (checked inside screened()), and the screen must clear something.
+  const auto array = grid::full_array(2, 2);
+  const Simulator simulator(array);
+  std::vector<Fault> faults = single_stuck_fault_universe(array);
+  for (grid::ValveId v = 0; v < array.valve_count(); ++v) {
+    faults.push_back(degraded_flow(v));
+  }
+  for (const Fault& leak : control_leak_universe(array)) {
+    faults.push_back(leak);
+  }
+  const int valves = array.valve_count();
+  int cleared = 0;
+  int total = 0;
+  for (unsigned mask = 0; mask < (1u << valves); ++mask) {
+    ValveStates states(static_cast<std::size_t>(valves));
+    for (int v = 0; v < valves; ++v) {
+      states[static_cast<std::size_t>(v)] = ((mask >> v) & 1) != 0;
+    }
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      for (std::size_t j = i; j < faults.size(); ++j) {
+        const std::vector<Fault> set =
+            i == j ? std::vector<Fault>{faults[i]}
+                   : std::vector<Fault>{faults[i], faults[j]};
+        cleared += screened(simulator, states, set) ? 1 : 0;
+        ++total;
+      }
+    }
+  }
+  EXPECT_GT(cleared, total / 4);
 }
 
 TEST(ControlTopologyTest, PairsAreNearestNeighbors) {
