@@ -211,7 +211,7 @@ BENCHMARK(BM_FlowPathIlpNoLearn)
     ->Unit(benchmark::kMillisecond);
 
 // The tentpole configuration: every LP refutation learns a nogood and the
-// search restarts on the Luby schedule, keeping the pool and activities.
+// search restarts on the Luby schedule, keeping the nogood pool.
 void BM_FlowPathIlpLpLearn(benchmark::State& state) {
   run_flow_path(state, lp_learn_options(), /*crosscheck=*/false);
 }

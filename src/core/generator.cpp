@@ -321,6 +321,10 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
         vector.kind = sim::VectorKind::kControlLeak;
         if (simulator.detects(vector, injected)) {
           erase_detected(simulator, vector, remaining);
+          // `detects` just proved the vector catches `fault`; erasing it
+          // here too guarantees the loop progresses even if the prune and
+          // `detects` ever disagree.
+          std::erase(remaining, fault);
           leak_vectors.push_back(std::move(vector));
           detected = true;
         } else {

@@ -446,23 +446,16 @@ struct StoreHooks {
 /// survives a limit change, a limit-abandoned one does not.
 std::string fingerprint_config(const ilp::Options& options) {
   return common::cat(
-      "v2 tol=", options.integrality_tolerance,
+      "v3 tol=", options.integrality_tolerance,
       " int=", options.objective_is_integral, " pre=", options.presolve,
-      " prop=", options.node_propagation,
       " branch=", static_cast<int>(options.branching),
-      " retries=", options.max_lp_retries,
       " stack=", options.basis_stack_depth, " probe=", options.probing,
-      " clique=", options.clique_cuts, " cutrounds=", options.max_cut_rounds,
-      " cutsper=", options.max_cuts_per_round,
-      " orbit=", options.orbit_symmetry_rows,
-      " floorrows=", options.budget_floor_rows,
+      " clique=", options.clique_cuts,
       " learn=", options.conflict_learning,
-      " jump=", options.conflict_backjumping,
-      " nogoods=", options.max_nogoods, " threads=", options.threads,
+      " jump=", options.conflict_backjumping, " threads=", options.threads,
       " lpiter=", options.lp_iteration_limit,
       " lplearn=", options.lp_conflict_learning,
-      " restart=", options.restart_interval,
-      " luby=", options.restart_luby);
+      " restart=", options.restart_interval);
 }
 
 std::string fingerprint_limits(const ilp::Options& options) {
@@ -544,8 +537,7 @@ std::vector<StageCache<ResultT>> precompute_stages(
         // optimistically. (A pinned feasible point is feasible unpinned
         // too, so even invalidated speculation never misleads the replay —
         // it just re-solves live.)
-        slot.floor =
-            options.budget_floor_rows && budget > first_budget ? budget : 0;
+        slot.floor = budget > first_budget ? budget : 0;
         slot.result =
             solve_budget(budget, slot.floor, stage_options, &slot.failure);
         const std::lock_guard<std::mutex> lock(mutex);
@@ -583,7 +575,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
                                         const char* kind,
                                         SolveBudget&& solve_budget,
                                         const StoreHooks<ResultT>& hooks = {}) {
-  const bool budget_floor_rows = options.budget_floor_rows;
   const std::size_t stage_count =
       static_cast<std::size_t>(last_budget - first_budget + 1);
 
@@ -672,8 +663,7 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
   for (int budget = first_budget; budget <= last_budget; ++budget) {
     if (options.stop.stop_requested()) return std::nullopt;
     ilp::Result failure;
-    const int floor =
-        budget_floor_rows && proven_floor == budget ? proven_floor : 0;
+    const int floor = proven_floor == budget ? proven_floor : 0;
     std::optional<ResultT> result;
     const std::size_t slot_index =
         static_cast<std::size_t>(budget - first_budget);
@@ -977,7 +967,7 @@ std::optional<IlpCutResult> solve_cut_set_model(
 
   ChainSpec spec;
   spec.masking_exclusion = masking_exclusion;
-  spec.orbit_symmetry = options.orbit_symmetry_rows;
+  spec.orbit_symmetry = true;
   spec.objective_floor = proven_budget_floor;
   spec.node_count = (array.rows() + 1) * (array.cols() + 1);
 

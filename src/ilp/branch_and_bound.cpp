@@ -27,6 +27,18 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+/// A node whose LP hit its pivot budget is re-queued this many times, each
+/// with a 4x larger budget, before its dual bound is declared lost.
+constexpr int kMaxLpRetries = 3;
+/// Root separation rounds. Warm row addition makes extra rounds nearly
+/// free and the loop stops once separation dries up, so the cap is
+/// generous.
+constexpr int kMaxCutRounds = 16;
+constexpr int kMaxCutsPerRound = 200;  ///< most-violated cuts kept per round
+/// Learned-pool cap: past it, the least active half (LBD tiebreak) is
+/// deleted.
+constexpr int kMaxNogoods = 4000;
+
 /// One bound change relative to the parent node.
 struct BoundDelta {
   int var = 0;
@@ -218,9 +230,8 @@ lp::SolveOptions node_lp_options(const Options& options) {
   lp_options.max_iterations = options.lp_iteration_limit;
   // Exact duals cost an extra BTRAN + pricing pass per optimal solve; only
   // bound-based LP learning consumes them.
-  lp_options.want_duals = options.lp_conflict_learning &&
-                          options.conflict_learning &&
-                          options.node_propagation;
+  lp_options.want_duals =
+      options.lp_conflict_learning && options.conflict_learning;
   return lp_options;
 }
 
@@ -236,7 +247,7 @@ class Searcher {
     root_propagated_ = root_propagated;
     if (shared_propagator != nullptr) {
       propagator_ = shared_propagator;
-    } else if (options_.node_propagation) {
+    } else {
       own_propagator_.emplace(model);
       propagator_ = &*own_propagator_;
     }
@@ -272,9 +283,8 @@ class Searcher {
     // Conflict-driven learning rides on the propagation machinery: the
     // engine replays the propagator's rows with explanations and consults
     // the learned pool at every node.
-    if (options_.conflict_learning && options_.node_propagation &&
-        propagator_ != nullptr) {
-      conflict_.emplace(model_, *propagator_, options_.max_nogoods,
+    if (options_.conflict_learning) {
+      conflict_.emplace(model_, *propagator_, kMaxNogoods,
                         options_.conflict_observer);
       conflict_->set_root_bounds(root_lower_, root_upper_);
       // Anytime-certificate resume: re-import the globally valid unit
@@ -388,7 +398,7 @@ class Searcher {
       }
       // Luby restarts (serial only): past the conflict budget of the
       // current interval, drop the DFS stack and re-dive from the root.
-      // The nogood pool, activities, pseudocosts and incumbent survive,
+      // The nogood pool, pseudocosts and incumbent survive,
       // so the fresh dive is steered by everything the refutations
       // taught. Sound for the dual bound: the re-pushed root re-covers
       // every discarded pending region (a backjump to level 0).
@@ -427,9 +437,7 @@ class Searcher {
       // bounds, or prune the whole subtree without touching the LP.
       // (The root is skipped when presolve already propagated this model
       // to a fixpoint and found nothing.)
-      const bool propagate_here = options_.node_propagation &&
-                                  propagator_ != nullptr &&
-                                  !(node.path.empty() && root_propagated_);
+      const bool propagate_here = !(node.path.empty() && root_propagated_);
       // LP-refutation learning needs the conflict trail this node's
       // explained propagation left behind (analyze_lp_refutation resolves
       // over it), so it is armed only when that propagation actually ran.
@@ -516,7 +524,7 @@ class Searcher {
           if (shared != nullptr) shared->hit_limits();
           break;
         }
-        if (node.retries < options_.max_lp_retries) {
+        if (node.retries < kMaxLpRetries) {
           // Re-queue with a larger pivot budget; the subtree — and with it
           // the optimality certificate — survives a transient limit.
           ++node.retries;
@@ -826,8 +834,7 @@ class Searcher {
 
   /// Conflict budget of the k-th restart interval.
   long restart_conflict_budget(long k) const {
-    const long unit = static_cast<long>(options_.restart_interval);
-    return options_.restart_luby ? unit * luby(k) : unit;
+    return static_cast<long>(options_.restart_interval) * luby(k);
   }
 
   /// Builds, verifies and analyzes the bound clause an LP refutation
@@ -1111,21 +1118,12 @@ class Searcher {
       const double distance = std::min(frac, 1.0 - frac);
       if (distance <= options_.integrality_tolerance) continue;
       if (rule == Branching::kInputOrder) return j;
-      bool weighted = false;
-      double score;
-      if (rule == Branching::kPseudocost) {
-        // Product rule over the two estimated child degradations.
-        const double down_gain = pseudocost(j, false) * frac;
-        const double up_gain = pseudocost(j, true) * (1.0 - frac);
-        score = std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
-        weighted = model_.lp().variable(j).objective != 0.0;
-      } else {
-        // kActivity: highest conflict activity; the strict comparison
-        // below keeps the lowest index on ties, so an all-zero activity
-        // profile (no conflict yet, or learning off) degrades to input
-        // order.
-        score = conflict_.has_value() ? conflict_->variable_activity(j) : 0.0;
-      }
+      // Product rule over the two estimated child degradations.
+      const double down_gain = pseudocost(j, false) * frac;
+      const double up_gain = pseudocost(j, true) * (1.0 - frac);
+      const double score =
+          std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
+      const bool weighted = model_.lp().variable(j).objective != 0.0;
       if (best < 0 || (weighted && !best_weighted) ||
           (weighted == best_weighted && score > best_score)) {
         best_score = score;
@@ -1150,8 +1148,7 @@ class Searcher {
   bool root_propagated_ = false;  ///< presolve already swept the root
   int worker_id_ = 0;             ///< parallel worker id (0 when serial)
   std::size_t publish_cursor_ = 0;  ///< exchange entries already imported
-  /// Conflict-driven learning engine; engaged when conflict_learning and
-  /// node_propagation are both on.
+  /// Conflict-driven learning engine; engaged when conflict_learning is on.
   std::optional<ConflictEngine> conflict_;
   std::vector<ConflictEngine::Decision> decisions_;  ///< per-node scratch
   long restart_threshold_ = 0;  ///< conflict budget of the open interval;
@@ -1330,7 +1327,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
 
   std::vector<CandidateCut> cuts;
   std::vector<lp::Term> terms;
-  for (int round = 0; round < options.max_cut_rounds; ++round) {
+  for (int round = 0; round < kMaxCutRounds; ++round) {
     if (timer.seconds() > options.time_limit_seconds * 0.5) break;
     if (options.stop.stop_requested()) break;
     lp::Solution relaxation;
@@ -1350,7 +1347,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
     }
     if (relaxation.status != lp::SolveStatus::kOptimal) break;
 
-    separator.separate(relaxation.values, options.max_cuts_per_round, &cuts);
+    separator.separate(relaxation.values, kMaxCutsPerRound, &cuts);
     if (cuts.empty()) break;
     for (const CandidateCut& cut : cuts) {
       const double rhs = literal_row(cut.literals, cut.rhs_literals, &terms);

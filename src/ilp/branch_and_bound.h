@@ -15,8 +15,11 @@
 // it is a faithful stand-in for the commercial ILP solver the paper used,
 // not a general-purpose MIP engine. The LP side has one path — the warm
 // revised simplex, with the dense tableau as its numerical fallback — and
-// the search-side mechanisms (presolve, propagation, probing, cuts,
-// conflict learning) switch off individually through Options.
+// node propagation always runs. The search-side switches left in Options
+// are presolve, probing and clique cuts (tests turn them off to keep
+// hand-written models unreduced) and the conflict-learning family
+// (learning, backjumping, LP learning, restarts) whose non-default
+// settings the certify profile runs.
 #ifndef FPVA_ILP_BRANCH_AND_BOUND_H
 #define FPVA_ILP_BRANCH_AND_BOUND_H
 
@@ -59,13 +62,6 @@ enum class Branching {
   kAuto,
   kPseudocost,  ///< product rule over pseudocost estimates
   kInputOrder,  ///< first fractional variable in index order
-  /// Fractional variable with the highest conflict activity (bumped for
-  /// every variable of every learned clause, decayed per conflict), ties
-  /// to the lowest index. Pairs with restarts: after a restart the
-  /// activity profile redirects the fresh dive at the variables the
-  /// refutations implicated. Requires conflict_learning; falls back to
-  /// kInputOrder semantics while no activity has accumulated.
-  kActivity,
 };
 
 struct Options {
@@ -80,12 +76,7 @@ struct Options {
 
   /// Root presolve: bound tightening, implied fixings, row removal.
   bool presolve = true;
-  /// Single-constraint bound propagation at every node (prunes without LP).
-  bool node_propagation = true;
   Branching branching = Branching::kAuto;
-  /// Re-queue a node whose LP hit the pivot budget this many times with a
-  /// 4x larger budget before declaring the dual bound lost.
-  int max_lp_retries = 3;
   /// Keep basis checkpoints for nodes at depth <= this and restore the
   /// nearest ancestor checkpoint after a backtrack jump, instead of dual-
   /// repairing the warm basis across two unrelated subtrees. 0 disables.
@@ -99,29 +90,13 @@ struct Options {
   /// cut is appended to the live factorized basis and the next round
   /// reoptimizes with a few dual pivots instead of re-crashing the LP.
   bool clique_cuts = true;
-  /// Separation rounds at the root. Warm row addition made extra rounds
-  /// nearly free (the loop stops early once separation dries up), so the
-  /// cap is generous.
-  int max_cut_rounds = 16;
-  int max_cuts_per_round = 200; ///< most-violated cuts kept per round
-  /// Full orbit-based lexicographic ordering rows instead of the single
-  /// p-ordering row. Read by core/ilp_models when it builds the cut-set
-  /// model (a model-construction switch, not a solver switch); carried here
-  /// so every mechanism of the accelerated pipeline A/Bs through one
-  /// options struct.
-  bool orbit_symmetry_rows = true;
-  /// During III-B-3 budget escalation, pin the chain models' use
-  /// indicators once every smaller budget is proven infeasible (the
-  /// optimum is then exactly the budget), turning the final solve into a
-  /// pure feasibility dive. Read by core/ilp_models' find_minimum_*.
-  bool budget_floor_rows = true;
 
   /// Conflict-driven nogood learning (conflict.h): node propagation runs
   /// with explanations, refuted nodes are analyzed to a 1-UIP nogood, the
   /// learned pool propagates at every later node, and the search backjumps
   /// to the nogood's assertion level (discarding the pending siblings its
-  /// region covers). Requires node_propagation; off restores the PR-4
-  /// search bit-exactly (node counts and all).
+  /// region covers). Off restores the PR-4 search bit-exactly (node counts
+  /// and all).
   bool conflict_learning = true;
   /// Backjump to the assertion level after a conflict (discarding pending
   /// siblings and re-entering the prefix node, where the fresh nogood
@@ -135,9 +110,6 @@ struct Options {
   /// minimum (= 4) in ~64 s where the PR-4 search exceeded 500 s without
   /// an answer; the slow-certify CI job switches it on.
   bool conflict_backjumping = false;
-  /// Learned-pool cap: past it, the least active half (LBD tiebreak) is
-  /// deleted.
-  int max_nogoods = 4000;
   /// Learn from LP refutations too: an infeasible node LP's Farkas ray —
   /// or, for a bound-pruned node, the exact duals plus the cutoff row —
   /// is aggregated into one valid bound clause over the node's local
@@ -147,16 +119,13 @@ struct Options {
   /// bit-exactly, because duals are then never even computed.
   bool lp_conflict_learning = false;
   /// Luby-scheduled restarts: after restart_interval * Luby(k) conflicts
-  /// (propagation + LP) since the last restart, the serial search drops
-  /// its DFS stack and re-dives from the root, keeping the nogood pool,
-  /// activities, pseudocosts and incumbent. 0 disables (the default —
-  /// restarts change the tree shape and are opted into by the
-  /// refutation-heavy certify runs). Requires conflict_learning; ignored
-  /// by the multi-threaded tree search.
+  /// (propagation + LP) since the last restart, with Luby(k) the sequence
+  /// 1,1,2,1,1,2,4,..., the serial search drops its DFS stack and re-dives
+  /// from the root, keeping the nogood pool, pseudocosts and incumbent.
+  /// 0 disables (the default — restarts change the tree shape and are
+  /// opted into by the refutation-heavy certify runs). Requires
+  /// conflict_learning; ignored by the multi-threaded tree search.
   int restart_interval = 0;
-  /// Scale restart_interval by the Luby sequence (1,1,2,1,1,2,4,...);
-  /// false = fixed-interval restarts every restart_interval conflicts.
-  bool restart_luby = true;
   /// Test/diagnostic hook: sees every learned nogood at learning time
   /// (before any pool deletion). Not owned; may be null. With threads > 1
   /// the workers share the hook and calls are serialized by a mutex.

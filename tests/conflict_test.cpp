@@ -13,8 +13,8 @@
 // Every randomized case logs its seed on failure, so a CI hit reproduces
 // with:  FPVA_CONFLICT_FUZZ_SEEDS=<seed> ./conflict_test
 // The seeded sweep also reads tests/conflict_fuzz_seeds.txt through the
-// FPVA_CONFLICT_SEED_FILE environment variable (the CI fuzz step does
-// this, under ASan/UBSan).
+// FPVA_CONFLICT_SEED_FILE environment variable, which ctest sets (and the
+// CI fuzz step, under ASan/UBSan).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -540,8 +540,6 @@ void fuzz_mip(std::uint64_t seed) {
   lp_learn.conflict_observer = &lp_observer;
   lp_learn.lp_conflict_learning = true;
   lp_learn.restart_interval = 4;
-  lp_learn.restart_luby = (seed % 3) != 0;
-  if ((seed % 5) == 0) lp_learn.branching = Branching::kActivity;
   const Result lp = solve(model, lp_learn);
   ASSERT_EQ(lp.status, without.status) << "seed=" << seed;
   if (lp.status == ResultStatus::kOptimal) {
@@ -720,9 +718,9 @@ std::vector<std::uint64_t> configured_seeds() {
   return seeds;
 }
 
-// CI's sanitized fuzz step points FPVA_CONFLICT_SEED_FILE at the committed
-// seed list (tests/conflict_fuzz_seeds.txt) and runs exactly this test;
-// locally the test is a no-op unless seeds are configured.
+// ctest and CI's sanitized fuzz step point FPVA_CONFLICT_SEED_FILE at the
+// committed seed list (tests/conflict_fuzz_seeds.txt); run directly, the
+// test is a no-op unless seeds are configured.
 TEST(ConflictFuzzTest, SeededSweep) {
   const std::vector<std::uint64_t> seeds = configured_seeds();
   for (const std::uint64_t seed : seeds) {

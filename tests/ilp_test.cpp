@@ -374,7 +374,6 @@ TEST(BranchAndBoundTest, TinyPivotBudgetStillProvesOptimality) {
   Options options;
   options.objective_is_integral = true;
   options.lp_iteration_limit = 1;  // absurdly small: every node LP stalls
-  options.max_lp_retries = 10;
   const Result result = solve(model, options);
   Options reference;
   reference.objective_is_integral = true;

@@ -20,7 +20,8 @@
 // Every randomized case logs its seed on failure, so a CI hit reproduces
 // with:  FPVA_LU_FUZZ_SEEDS=<seed> ./lu_update_test
 // The seeded sweep also reads tests/lu_fuzz_seeds.txt through the
-// FPVA_LU_SEED_FILE environment variable (the CI fuzz step does this).
+// FPVA_LU_SEED_FILE environment variable, which ctest and the CI fuzz step
+// set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -960,9 +961,9 @@ std::vector<std::uint64_t> configured_seeds() {
   return seeds;
 }
 
-// CI's nightly-style step points FPVA_LU_SEED_FILE at the committed seed
-// list (tests/lu_fuzz_seeds.txt) and runs exactly this test; locally the
-// test is a no-op unless seeds are configured.
+// ctest and CI's nightly-style step point FPVA_LU_SEED_FILE at the
+// committed seed list (tests/lu_fuzz_seeds.txt); run directly, the test is
+// a no-op unless seeds are configured.
 TEST(LuFuzzTest, SeededSweep) {
   const std::vector<std::uint64_t> seeds = configured_seeds();
   for (const std::uint64_t seed : seeds) {

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/ilp_models.h"
-#include "grid/presets.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/model.h"
 
@@ -79,38 +77,6 @@ TEST(OptionsToggleTest, IntegralityToleranceSweep) {
   }
 }
 
-TEST(OptionsToggleTest, NodePropagationOff) {
-  Options options = integral_options();
-  options.node_propagation = false;
-  // Conflict learning requires node propagation; the solver must cope with
-  // the pair being switched off together.
-  options.conflict_learning = false;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
-TEST(OptionsToggleTest, CutRoundLimits) {
-  // No separation at all, then a starved one-cut-per-round loop.
-  Options no_rounds = integral_options();
-  no_rounds.max_cut_rounds = 0;
-  expect_knapsack_optimum(no_rounds);
-  expect_set_cover_optimum(no_rounds);
-
-  Options starved = integral_options();
-  starved.max_cuts_per_round = 1;
-  expect_knapsack_optimum(starved);
-  expect_set_cover_optimum(starved);
-}
-
-TEST(OptionsToggleTest, NogoodPoolCapOfOne) {
-  // With max_nogoods = 1 the pool deletes on every second learn; the
-  // search must stay correct with learning effectively memoryless.
-  Options options = integral_options();
-  options.max_nogoods = 1;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
 TEST(OptionsToggleTest, SeedLiteralsPinProvablyZeroItem) {
   // Knapsack with an item heavier than the capacity: x4 = 0 in every
   // feasible point, so the refutation "x4 >= 1 admits no feasible point"
@@ -148,46 +114,14 @@ TEST(OptionsToggleTest, LpConflictLearningOn) {
 }
 
 TEST(OptionsToggleTest, RestartScheduleSweep) {
-  // restart_interval > 0 arms restarts; restart_luby picks between the
-  // Luby sequence and a fixed conflict interval. An aggressive interval
-  // of 2 restarts constantly — the search must still certify the optimum.
-  for (const bool luby : {true, false}) {
-    Options options = integral_options();
-    options.lp_conflict_learning = true;
-    options.restart_interval = 2;
-    options.restart_luby = luby;
-    expect_knapsack_optimum(options);
-    expect_set_cover_optimum(options);
-  }
-}
-
-TEST(OptionsToggleTest, ActivityBranching) {
-  // Conflict-activity branching tier (pairs with restarts): falls back to
-  // input order until activities accumulate.
+  // restart_interval > 0 arms Luby-scheduled restarts. An aggressive
+  // interval of 2 restarts constantly — the search must still certify the
+  // optimum.
   Options options = integral_options();
-  options.branching = Branching::kActivity;
   options.lp_conflict_learning = true;
+  options.restart_interval = 2;
   expect_knapsack_optimum(options);
   expect_set_cover_optimum(options);
-}
-
-TEST(OptionsToggleTest, BudgetFloorRowsOff) {
-  // budget_floor_rows is read by core/ilp_models during III-B-3 budget
-  // escalation; both settings must certify the same cut-set minimum.
-  const grid::ValveArray array = grid::full_array(2, 2);
-  Options with_floor;
-  Options without_floor;
-  without_floor.budget_floor_rows = false;
-  const auto a = core::find_minimum_cut_sets(array, 1, 4,
-                                             /*masking_exclusion=*/false,
-                                             with_floor);
-  const auto b = core::find_minimum_cut_sets(array, 1, 4,
-                                             /*masking_exclusion=*/false,
-                                             without_floor);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->cut_budget, b->cut_budget);
-  EXPECT_EQ(a->proven_minimal, b->proven_minimal);
 }
 
 }  // namespace

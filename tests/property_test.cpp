@@ -235,18 +235,15 @@ TEST(VectorShapeProperty, OpenAndClosedCounts) {
 // sets, but the behavioral fault coverage audited through sim/ must be
 // identical.
 
-/// The defaults with presolve, node propagation, conflict learning,
-/// probing, clique cuts, orbit rows and budget floor rows all off: the
-/// plain warm-LP branch-and-bound underneath every mechanism.
+/// The defaults with presolve, conflict learning, probing and clique cuts
+/// all off: the propagating warm-LP branch-and-bound underneath every
+/// switchable mechanism.
 ilp::Options mechanisms_off_options() {
   ilp::Options options;
   options.presolve = false;
-  options.node_propagation = false;
   options.conflict_learning = false;
   options.probing = false;
   options.clique_cuts = false;
-  options.orbit_symmetry_rows = false;
-  options.budget_floor_rows = false;
   return options;
 }
 

@@ -215,7 +215,7 @@ TEST(ResumeTest, ConfigMismatchDegradesToLiveSolve) {
   }
   // A different search configuration must not trust the old refutations.
   ilp::Options changed = fast_options();
-  changed.orbit_symmetry_rows = false;
+  changed.conflict_backjumping = true;
   CertStore store(dir);
   const auto resumed =
       find_minimum_cut_sets(array, 1, 4, true, changed, &store);
